@@ -9,12 +9,11 @@ fraction arithmetic, and verifies candidates against the defining equations.
 from .errors import (DimensionMismatch, GenInvError, IndexOutOfRange,
                      IndexTooLarge, InternalInvariantViolation,
                      InvalidFactorization, NotIdempotent, ParseError,
-                     SingularMatrix, V4Singular)
-from .exact import (ABSENT, Block, DimensionlessBlock, RMatrix, Rational,
-                    block_compose, block_extract, format_rational, identity,
-                    mat_add, mat_inverse, mat_mul, mat_pow, mat_rank,
-                    mat_scale, mat_sub, mat_transpose, parse_rational,
-                    partial_identity, zeros)
+                     SingularMatrix)
+from .exact import (RMatrix, Rational, block_compose, block_extract,
+                    format_rational, identity, mat_add, mat_inverse, mat_mul,
+                    mat_pow, mat_rank, mat_scale, mat_sub, mat_transpose,
+                    parse_rational, partial_identity, zeros)
 from .factorize import (DEFAULT_POLICY, PIVOT_POLICIES, FactoredMatrix,
                         PivotPolicy, factor_with, full_rank_reduce,
                         verify_factorization)
@@ -32,13 +31,12 @@ from .square import (GroupBlocks, MinimalPolynomial, QPolynomial,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT", "Block", "BlockParams", "DEFAULT_POLICY", "DimensionMismatch",
-    "DimensionlessBlock", "FactoredMatrix", "GenInvError", "GroupBlocks",
-    "IndexOutOfRange", "IndexTooLarge", "InternalInvariantViolation",
-    "InvalidFactorization", "MinimalPolynomial", "NotIdempotent",
-    "PIVOT_POLICIES", "ParseError", "PenroseReport", "PivotPolicy",
-    "QPolynomial", "RMatrix", "Rational", "SingularMatrix", "StarBlocksP",
-    "StarBlocksQ", "V4Singular", "block_compose", "block_extract", "check",
+    "BlockParams", "DEFAULT_POLICY", "DimensionMismatch", "FactoredMatrix",
+    "GenInvError", "GroupBlocks", "IndexOutOfRange", "IndexTooLarge",
+    "InternalInvariantViolation", "InvalidFactorization", "MinimalPolynomial",
+    "NotIdempotent", "PIVOT_POLICIES", "ParseError", "PenroseReport",
+    "PivotPolicy", "QPolynomial", "RMatrix", "Rational", "SingularMatrix",
+    "StarBlocksP", "StarBlocksQ", "block_compose", "block_extract", "check",
     "classify", "compute_star_blocks", "drazin_inverse", "drazin_onecheck",
     "factor_with", "format_rational", "full_rank_reduce", "g1_inverse",
     "g12_inverse", "g123_inverse", "g124_inverse", "g13_inverse",

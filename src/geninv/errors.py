@@ -29,10 +29,6 @@ class IndexTooLarge(GenInvError):
     """The group inverse exists only for matrices of index at most 1."""
 
 
-class V4Singular(GenInvError):
-    """The trailing block of Q*P is singular for every available pivot policy."""
-
-
 class InternalInvariantViolation(RuntimeError):
     """A relation that is guaranteed to hold failed; this is a bug, not bad input."""
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
@@ -37,29 +37,20 @@ def format_rational(x: Rational) -> str:
 
 
 @dataclass(frozen=True)
-class DimensionlessBlock:
-    """Marker for a block that is absent because one of its dimensions is zero."""
-
-    def __repr__(self) -> str:
-        return "ABSENT"
-
-
-ABSENT = DimensionlessBlock()
-
-Block = Union["RMatrix", DimensionlessBlock]
-
-
-@dataclass(frozen=True)
 class RMatrix:
-    """Immutable dense matrix of rationals, at least 1x1."""
+    """Immutable dense matrix of rationals.
+
+    Either dimension may be zero: such matrices are the empty blocks of a
+    split at r = 0 or at full rank. ``from_rows`` builds only 1x1 and up.
+    """
 
     rows: int
     cols: int
     entries: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix must be at least 1x1, got {self.rows}x{self.cols}")
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError(f"matrix dimensions must be >= 0, got {self.rows}x{self.cols}")
         if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
             raise ValueError("entry grid does not match the declared shape")
         for v in chain.from_iterable(self.entries):
@@ -131,7 +122,7 @@ class RMatrix:
 
     def __str__(self) -> str:
         cells = [[str(v) for v in row] for row in self.entries]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
+        widths = [max((len(row[j]) for row in cells), default=0) for j in range(self.cols)]
         return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
@@ -175,6 +166,8 @@ def mat_scale(a: RMatrix, s) -> RMatrix:
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    if a.cols == 0:  # an empty sum per entry
+        return zeros(a.rows, b.cols)
     bcols = tuple(zip(*b.entries))
     return RMatrix(a.rows, b.cols,
                    tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bcols)
@@ -182,6 +175,8 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
 
 
 def mat_transpose(a: RMatrix) -> RMatrix:
+    if a.rows == 0:  # zip(*()) would lose the column count
+        return zeros(a.cols, 0)
     return RMatrix(a.cols, a.rows, tuple(zip(*a.entries)))
 
 
@@ -241,54 +236,25 @@ def mat_rank(a: RMatrix) -> int:
     return rank
 
 
-def _band(first, second, what: str) -> int:
-    sizes = [s for s in (first, second) if s is not None]
-    if not sizes:
-        return 0
-    if len(sizes) == 2 and sizes[0] != sizes[1]:
-        raise DimensionMismatch(f"inconsistent {what}: {sizes[0]} vs {sizes[1]}")
-    return sizes[0]
+def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix:
+    """Assemble [[x0, x1], [x2, x3]]; blocks of a zero-size slot are 0-row or 0-column."""
+    for first, second, what in ((x0.rows, x1.rows, "top block heights"),
+                                (x2.rows, x3.rows, "bottom block heights"),
+                                (x0.cols, x2.cols, "left block widths"),
+                                (x1.cols, x3.cols, "right block widths")):
+        if first != second:
+            raise DimensionMismatch(f"inconsistent {what}: {first} vs {second}")
+    grid = tuple(left + right for left, right in chain(zip(x0.entries, x1.entries),
+                                                       zip(x2.entries, x3.entries)))
+    return RMatrix(x0.rows + x2.rows, x0.cols + x1.cols, grid)
 
 
-def block_compose(x0: Block, x1: Block, x2: Block, x3: Block) -> RMatrix:
-    """Assemble [[x0, x1], [x2, x3]]; ABSENT marks a block whose slot has zero size."""
-    for b in (x0, x1, x2, x3):
-        if not isinstance(b, (RMatrix, DimensionlessBlock)):
-            raise TypeError("blocks must be RMatrix or ABSENT")
-
-    def rsize(b):
-        return b.rows if isinstance(b, RMatrix) else None
-
-    def csize(b):
-        return b.cols if isinstance(b, RMatrix) else None
-
-    top = _band(rsize(x0), rsize(x1), "top block heights")
-    bottom = _band(rsize(x2), rsize(x3), "bottom block heights")
-    left = _band(csize(x0), csize(x2), "left block widths")
-    right = _band(csize(x1), csize(x3), "right block widths")
-    for b, h, w, name in ((x0, top, left, "x0"), (x1, top, right, "x1"),
-                          (x2, bottom, left, "x2"), (x3, bottom, right, "x3")):
-        if isinstance(b, DimensionlessBlock) and h > 0 and w > 0:
-            raise DimensionMismatch(f"block {name} is absent but would span {h}x{w}")
-    rows, cols = top + bottom, left + right
-    if rows == 0 or cols == 0:
-        raise DimensionMismatch("composed matrix would have a zero dimension")
-    grid = []
-    for i in range(top):
-        grid.append((x0.row(i) if left else ()) + (x1.row(i) if right else ()))
-    for i in range(bottom):
-        grid.append((x2.row(i) if left else ()) + (x3.row(i) if right else ()))
-    return RMatrix(rows, cols, tuple(grid))
-
-
-def block_extract(a: RMatrix, r: int) -> tuple[Block, Block, Block, Block]:
-    """Split at row/column r; blocks with a zero dimension come back as ABSENT."""
+def block_extract(a: RMatrix, r: int) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
+    """Split at row/column r into [[a0, a1], [a2, a3]]; a0 is r x r."""
     if r < 0 or r > min(a.rows, a.cols):
         raise IndexOutOfRange(f"split index {r} outside 0..{min(a.rows, a.cols)}")
 
     def sub(r0, r1, c0, c1):
-        if r1 == r0 or c1 == c0:
-            return ABSENT
         return RMatrix(r1 - r0, c1 - c0, tuple(row[c0:c1] for row in a.entries[r0:r1]))
 
     return (sub(0, r, 0, r), sub(0, r, r, a.cols),

@@ -3,8 +3,8 @@
 Every inverse built here has the shape X = P * [[X0, X1], [X2, X3]] * Q for a
 reduction Q*A*P = E_r. Each constructor pins the blocks its inverse class
 requires and leaves the rest free; omitted free blocks default to zero, the
-canonical member of the family. For a rank-0 input every constructor returns
-the zero matrix, which satisfies all six defining equations.
+canonical member of the family. At r = 0, r = m or r = n some blocks are
+0-row or 0-column matrices and the same formulas apply unchanged.
 
 The {3}- and {4}-classes need the Gram matrices Q*Qt and Pt*P: their trailing
 blocks S4, T4 are always regular, and the canonical choices -S2*S4^-1 and
@@ -17,55 +17,54 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionMismatch, InternalInvariantViolation, NotIdempotent
-from .exact import (ABSENT, Block, DimensionlessBlock, RMatrix, block_compose,
-                    block_extract, identity, mat_inverse, mat_mul, mat_rank,
-                    mat_scale, mat_sub, mat_transpose, zeros)
+from .exact import (RMatrix, block_compose, block_extract, identity, mat_inverse,
+                    mat_mul, mat_rank, mat_scale, mat_sub, mat_transpose, zeros)
 from .factorize import DEFAULT_POLICY, FactoredMatrix, PivotPolicy, full_rank_reduce
 
-FreeBlock = Optional[Block]
+FreeBlock = Optional[RMatrix]
 
 
 @dataclass(frozen=True)
 class StarBlocksQ:
     """Blocks of Q*Qt split at r: [[s1, s2], [s3, s4]], s3 = s2t, s4 regular."""
 
-    s1: Block
-    s2: Block
-    s3: Block
-    s4: Block
+    s1: RMatrix
+    s2: RMatrix
+    s3: RMatrix
+    s4: RMatrix
 
 
 @dataclass(frozen=True)
 class StarBlocksP:
     """Blocks of Pt*P split at r: [[t1, t2], [t3, t4]], t3 = t2t, t4 regular."""
 
-    t1: Block
-    t2: Block
-    t3: Block
-    t4: Block
+    t1: RMatrix
+    t2: RMatrix
+    t3: RMatrix
+    t4: RMatrix
 
 
 @dataclass(frozen=True)
 class BlockParams:
-    """Middle-factor blocks of a candidate inverse; ABSENT where a dimension vanishes."""
+    """Middle-factor blocks of a candidate inverse, split at r."""
 
-    x0: Block
-    x1: Block
-    x2: Block
-    x3: Block
+    x0: RMatrix
+    x1: RMatrix
+    x2: RMatrix
+    x3: RMatrix
 
 
-def _check_symmetric_split(b1: Block, b2: Block, b3: Block, b4: Block, what: str) -> None:
+def _check_symmetric_split(b1: RMatrix, b2: RMatrix, b3: RMatrix, b4: RMatrix,
+                           what: str) -> None:
     # Gram matrices are symmetric with a regular trailing block; anything else is a bug.
-    if isinstance(b1, RMatrix) and mat_transpose(b1) != b1:
+    if mat_transpose(b1) != b1:
         raise InternalInvariantViolation(f"leading block of {what} is not symmetric")
-    if isinstance(b2, RMatrix) and mat_transpose(b2) != b3:
+    if mat_transpose(b2) != b3:
         raise InternalInvariantViolation(f"off-diagonal blocks of {what} are not transposes")
-    if isinstance(b4, RMatrix):
-        if mat_transpose(b4) != b4:
-            raise InternalInvariantViolation(f"trailing block of {what} is not symmetric")
-        if mat_rank(b4) != b4.rows:
-            raise InternalInvariantViolation(f"trailing block of {what} is singular")
+    if mat_transpose(b4) != b4:
+        raise InternalInvariantViolation(f"trailing block of {what} is not symmetric")
+    if mat_rank(b4) != b4.rows:
+        raise InternalInvariantViolation(f"trailing block of {what} is singular")
 
 
 def compute_star_blocks(f: FactoredMatrix) -> tuple[StarBlocksQ, StarBlocksP]:
@@ -79,26 +78,19 @@ def compute_star_blocks(f: FactoredMatrix) -> tuple[StarBlocksQ, StarBlocksP]:
     return StarBlocksQ(s1, s2, s3, s4), StarBlocksP(t1, t2, t3, t4)
 
 
-def _resolve_free(block: FreeBlock, rows: int, cols: int, name: str) -> Block:
-    """Return the given free block, a zero default, or ABSENT for a vanished slot."""
-    if rows == 0 or cols == 0:
-        if block is None or isinstance(block, DimensionlessBlock):
-            return ABSENT
-        raise DimensionMismatch(f"{name} must be absent: its slot is {rows}x{cols}")
+def _resolve_free(block: FreeBlock, rows: int, cols: int, name: str) -> RMatrix:
+    """Return the given free block, or the zero default when it is omitted."""
     if block is None:
         return zeros(rows, cols)
-    if isinstance(block, DimensionlessBlock):
-        raise DimensionMismatch(f"{name} must be {rows}x{cols}, got an absent block")
+    if block.shape == (rows, cols):
+        return block
+    if rows == 0 or cols == 0:  # a matrix file is never empty: leave the block out
+        raise DimensionMismatch(f"{name} must be absent: its slot is {rows}x{cols}")
+    raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {block.rows}x{block.cols}")
+
+
+def _expect_param(block: RMatrix, rows: int, cols: int, name: str) -> None:
     if block.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {block.rows}x{block.cols}")
-    return block
-
-
-def _expect_param(block: Block, rows: int, cols: int, name: str) -> None:
-    if rows == 0 or cols == 0:
-        if not isinstance(block, DimensionlessBlock):
-            raise DimensionMismatch(f"{name} must be absent: its slot is {rows}x{cols}")
-    elif not isinstance(block, RMatrix) or block.shape != (rows, cols):
         raise DimensionMismatch(f"{name} must be a {rows}x{cols} matrix")
 
 
@@ -109,28 +101,19 @@ def _check_params(f: FactoredMatrix, b: BlockParams) -> None:
     _expect_param(b.x3, f.n - f.r, f.m - f.r, "x3")
 
 
-def _assemble(f: FactoredMatrix, x0: Block, x1: Block, x2: Block, x3: Block) -> RMatrix:
+def _assemble(f: FactoredMatrix, x0: RMatrix, x1: RMatrix, x2: RMatrix,
+              x3: RMatrix) -> RMatrix:
     return mat_mul(mat_mul(f.p, block_compose(x0, x1, x2, x3)), f.q)
 
 
-def _star_x1(sq: StarBlocksQ) -> Block:
-    """-S2*S4^-1, the forced top-right block of the {3}-family (ABSENT when r = m)."""
-    if isinstance(sq.s2, DimensionlessBlock):
-        return ABSENT
+def _star_x1(sq: StarBlocksQ) -> RMatrix:
+    """-S2*S4^-1, the forced top-right block of the {3}-family."""
     return mat_scale(mat_mul(sq.s2, mat_inverse(sq.s4)), -1)
 
 
-def _star_x2(sp: StarBlocksP) -> Block:
-    """-T4^-1*T3, the forced bottom-left block of the {4}-family (ABSENT when r = n)."""
-    if isinstance(sp.t3, DimensionlessBlock):
-        return ABSENT
+def _star_x2(sp: StarBlocksP) -> RMatrix:
+    """-T4^-1*T3, the forced bottom-left block of the {4}-family."""
     return mat_scale(mat_mul(mat_inverse(sp.t4), sp.t3), -1)
-
-
-def _product_or_absent(x2: Block, x1: Block) -> Block:
-    if isinstance(x2, RMatrix) and isinstance(x1, RMatrix):
-        return mat_mul(x2, x1)
-    return ABSENT
 
 
 def g1_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None,
@@ -139,8 +122,6 @@ def g1_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None,
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
     x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     return _assemble(f, identity(f.r), x1, x2, x3)
 
 
@@ -151,33 +132,19 @@ def g2_inverse(f: FactoredMatrix, x0: FreeBlock = None, fblk: FreeBlock = None,
     x0 = _resolve_free(x0, f.r, f.r, "x0")
     fblk = _resolve_free(fblk, f.r, f.m - f.r, "fblk")
     gblk = _resolve_free(gblk, f.n - f.r, f.r, "gblk")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     if mat_mul(x0, x0) != x0:
         raise NotIdempotent("x0 must satisfy x0*x0 = x0")
-    x1 = mat_mul(x0, fblk) if isinstance(fblk, RMatrix) else ABSENT
-    x2 = mat_mul(gblk, x0) if isinstance(gblk, RMatrix) else ABSENT
-    x3 = _product_or_absent(x2, x1)
-    return _assemble(f, x0, x1, x2, x3)
+    x1 = mat_mul(x0, fblk)
+    x2 = mat_mul(gblk, x0)
+    return _assemble(f, x0, x1, x2, mat_mul(x2, x1))
 
 
 def validate_g2_blocks(f: FactoredMatrix, b: BlockParams) -> bool:
     """True iff the {2}-block conditions hold: x0 idempotent, x0*x1 = x1,
     x2*x0 = x2 and x2*x1 = x3. Also confirmed against X*A*X = X directly."""
     _check_params(f, b)
-    cond = True
-    if isinstance(b.x0, RMatrix):
-        cond = mat_mul(b.x0, b.x0) == b.x0
-    if cond and isinstance(b.x1, RMatrix):
-        cond = mat_mul(b.x0, b.x1) == b.x1
-    if cond and isinstance(b.x2, RMatrix):
-        cond = mat_mul(b.x2, b.x0) == b.x2
-    if cond and isinstance(b.x3, RMatrix):
-        if isinstance(b.x2, RMatrix) and isinstance(b.x1, RMatrix):
-            cond = mat_mul(b.x2, b.x1) == b.x3
-        else:
-            # an empty product: with r = 0 the x3 slot must hold the zero matrix
-            cond = b.x3 == zeros(b.x3.rows, b.x3.cols)
+    cond = (mat_mul(b.x0, b.x0) == b.x0 and mat_mul(b.x0, b.x1) == b.x1
+            and mat_mul(b.x2, b.x0) == b.x2 and mat_mul(b.x2, b.x1) == b.x3)
     x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
     direct = mat_mul(mat_mul(x, f.a), x) == x
     if cond != direct:
@@ -189,9 +156,7 @@ def g12_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None) -
     """A {1,2}-inverse of rank r: A*X*A = A and X*A*X = X; X3 is forced to X2*X1."""
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
-    if f.r == 0:
-        return zeros(f.n, f.m)
-    return _assemble(f, identity(f.r), x1, x2, _product_or_absent(x2, x1))
+    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
 
 
 def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bool:
@@ -199,17 +164,10 @@ def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bo
     matrix W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1. Also confirmed
     against symmetry of A*X directly."""
     _check_params(f, b)
-    cond = True
-    if isinstance(b.x0, RMatrix):
-        if isinstance(sq.s2, RMatrix):
-            w = mat_sub(sq.s1, mat_mul(mat_mul(sq.s2, mat_inverse(sq.s4)),
-                                       mat_transpose(sq.s2)))
-        else:
-            w = sq.s1
-        cond = mat_mul(w, mat_transpose(b.x0)) == mat_mul(b.x0, w)
-        if cond and isinstance(b.x1, RMatrix):
-            forced = mat_scale(mat_mul(mat_mul(b.x0, sq.s2), mat_inverse(sq.s4)), -1)
-            cond = b.x1 == forced
+    s4i = mat_inverse(sq.s4)
+    w = mat_sub(sq.s1, mat_mul(mat_mul(sq.s2, s4i), mat_transpose(sq.s2)))
+    cond = (mat_mul(w, mat_transpose(b.x0)) == mat_mul(b.x0, w)
+            and b.x1 == mat_scale(mat_mul(mat_mul(b.x0, sq.s2), s4i), -1))
     x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
     ax = mat_mul(f.a, x)
     direct = mat_transpose(ax) == ax
@@ -222,8 +180,6 @@ def g13_inverse(f: FactoredMatrix, x2: FreeBlock = None, x3: FreeBlock = None) -
     """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free."""
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
     x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     sq, _ = compute_star_blocks(f)
     return _assemble(f, identity(f.r), _star_x1(sq), x2, x3)
 
@@ -231,28 +187,19 @@ def g13_inverse(f: FactoredMatrix, x2: FreeBlock = None, x3: FreeBlock = None) -
 def g123_inverse(f: FactoredMatrix, x2: FreeBlock = None) -> RMatrix:
     """A {1,2,3}-inverse: X3 is forced to X2 * (-S2*S4^-1)."""
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     sq, _ = compute_star_blocks(f)
     x1 = _star_x1(sq)
-    return _assemble(f, identity(f.r), x1, x2, _product_or_absent(x2, x1))
+    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
 
 
 def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bool:
     """Mirror of the {3}-validator: x0t*W = W*x0 for W = T1 - T2*T4^-1*T2t and
     x2 = -T4^-1*T3*x0, confirmed against symmetry of X*A directly."""
     _check_params(f, b)
-    cond = True
-    if isinstance(b.x0, RMatrix):
-        if isinstance(sp.t2, RMatrix):
-            w = mat_sub(sp.t1, mat_mul(mat_mul(sp.t2, mat_inverse(sp.t4)),
-                                       mat_transpose(sp.t2)))
-        else:
-            w = sp.t1
-        cond = mat_mul(mat_transpose(b.x0), w) == mat_mul(w, b.x0)
-        if cond and isinstance(b.x2, RMatrix):
-            forced = mat_scale(mat_mul(mat_mul(mat_inverse(sp.t4), sp.t3), b.x0), -1)
-            cond = b.x2 == forced
+    t4i = mat_inverse(sp.t4)
+    w = mat_sub(sp.t1, mat_mul(mat_mul(sp.t2, t4i), mat_transpose(sp.t2)))
+    cond = (mat_mul(mat_transpose(b.x0), w) == mat_mul(w, b.x0)
+            and b.x2 == mat_scale(mat_mul(mat_mul(t4i, sp.t3), b.x0), -1))
     x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
     xa = mat_mul(x, f.a)
     direct = mat_transpose(xa) == xa
@@ -265,8 +212,6 @@ def g14_inverse(f: FactoredMatrix, x1: FreeBlock = None, x3: FreeBlock = None) -
     """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free."""
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     _, sp = compute_star_blocks(f)
     return _assemble(f, identity(f.r), x1, _star_x2(sp), x3)
 
@@ -274,18 +219,14 @@ def g14_inverse(f: FactoredMatrix, x1: FreeBlock = None, x3: FreeBlock = None) -
 def g124_inverse(f: FactoredMatrix, x1: FreeBlock = None) -> RMatrix:
     """A {1,2,4}-inverse: X3 is forced to (-T4^-1*T3) * X1."""
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     _, sp = compute_star_blocks(f)
     x2 = _star_x2(sp)
-    return _assemble(f, identity(f.r), x1, x2, _product_or_absent(x2, x1))
+    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
 
 
 def g134_inverse(f: FactoredMatrix, x3: FreeBlock = None) -> RMatrix:
     """A {1,3,4}-inverse: both forced blocks, X3 free."""
     x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
-    if f.r == 0:
-        return zeros(f.n, f.m)
     sq, sp = compute_star_blocks(f)
     return _assemble(f, identity(f.r), _star_x1(sq), _star_x2(sp), x3)
 
@@ -294,9 +235,7 @@ def moore_penrose(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> RMatrix:
     """The Moore-Penrose inverse: the unique matrix satisfying all four
     defining equations. Independent of the pivot policy used internally."""
     f = full_rank_reduce(a, policy)
-    if f.r == 0:
-        return zeros(f.n, f.m)
     sq, sp = compute_star_blocks(f)
     x1 = _star_x1(sq)
     x2 = _star_x2(sp)
-    return _assemble(f, identity(f.r), x1, x2, _product_or_absent(x2, x1))
+    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))

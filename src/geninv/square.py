@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import (DimensionMismatch, IndexTooLarge, InternalInvariantViolation,
-                     V4Singular)
-from .exact import (ABSENT, Block, RMatrix, block_compose, block_extract, identity,
-                    mat_add, mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
+from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation
+from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
+                    mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
                     mat_transpose, zeros)
-from .factorize import PIVOT_POLICIES, FactoredMatrix, full_rank_reduce
+from .factorize import FactoredMatrix, full_rank_reduce
 from .rect import moore_penrose
 
 
@@ -64,10 +63,10 @@ class QPolynomial:
 class GroupBlocks:
     """Blocks of Q*P split at r: [[v1, v2], [v3, v4]]."""
 
-    v1: Block
-    v2: Block
-    v3: Block
-    v4: Block
+    v1: RMatrix
+    v2: RMatrix
+    v3: RMatrix
+    v4: RMatrix
 
 
 def poly_str(coeffs) -> str:
@@ -173,27 +172,28 @@ def _index_by_rank(a: RMatrix) -> int:
         k += 1
 
 
-def index_of(a: RMatrix) -> int:
-    """Smallest k with rank(A^k) = rank(A^(k+1)), cross-checked against the
-    lowest nonzero-coefficient degree of the minimal polynomial."""
+def _checked_index(a: RMatrix, what: str) -> tuple[int, MinimalPolynomial]:
+    """The index by the rank sequence and the minimal polynomial, whose lowest
+    nonzero-coefficient degree must agree with it."""
     if not a.is_square:
-        raise DimensionMismatch(f"index needs a square matrix, got {a.rows}x{a.cols}")
+        raise DimensionMismatch(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
     k = _index_by_rank(a)
     mu = minimal_polynomial(a)
     if mu.index != k:
         raise InternalInvariantViolation(f"rank index {k} != polynomial index {mu.index}")
-    return k
+    return k, mu
+
+
+def index_of(a: RMatrix) -> int:
+    """Smallest k with rank(A^k) = rank(A^(k+1)), cross-checked against the
+    lowest nonzero-coefficient degree of the minimal polynomial."""
+    return _checked_index(a, "index")[0]
 
 
 def group_inverse_poly(a: RMatrix) -> RMatrix:
     """The group inverse A*q(A)^2; requires index at most 1. q(A) itself is a
     {1}-inverse of A in that case."""
-    if not a.is_square:
-        raise DimensionMismatch(f"group inverse needs a square matrix, got {a.rows}x{a.cols}")
-    mu = minimal_polynomial(a)
-    k = _index_by_rank(a)
-    if k != mu.index:
-        raise InternalInvariantViolation(f"rank index {k} != polynomial index {mu.index}")
+    k, mu = _checked_index(a, "group inverse")
     if k > 1:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {k}")
     qa = poly_at(q_polynomial(mu).coeffs, a)
@@ -208,40 +208,28 @@ def group_blocks(f: FactoredMatrix) -> GroupBlocks:
 
 def group_inverse_block(a: RMatrix) -> RMatrix:
     """The group inverse from the blocks of Q*P, without any polynomial:
-    P * [[I, -V2*V4^-1], [-V4^-1*V3, V4^-1*V3*V2*V4^-1]] * Q."""
+    P * [[I, -V2*V4^-1], [-V4^-1*V3, V4^-1*V3*V2*V4^-1]] * Q.
+
+    V4 is regular exactly when the index is at most 1 (Jacobi's identity for
+    complementary minors of Q*P and its inverse), for every reduction."""
     if not a.is_square:
         raise DimensionMismatch(f"group inverse needs a square matrix, got {a.rows}x{a.cols}")
-    k = index_of(a)
-    if k > 1:
-        raise IndexTooLarge(f"group inverse requires index <= 1, got {k}")
-    n = a.rows
-    for policy in PIVOT_POLICIES:
-        f = full_rank_reduce(a, policy)
-        if f.r == n:  # regular: X = A^-1 = P*Q
-            return mat_mul(f.p, f.q)
-        if f.r == 0:
-            return zeros(n, n)
-        gb = group_blocks(f)
-        if mat_rank(gb.v4) < n - f.r:
-            continue  # singular trailing block: retry with the other pivot order
-        v4i = mat_inverse(gb.v4)
-        x1 = mat_scale(mat_mul(gb.v2, v4i), -1)
-        x2 = mat_scale(mat_mul(v4i, gb.v3), -1)
-        x3 = mat_mul(mat_mul(mat_mul(v4i, gb.v3), gb.v2), v4i)
-        mid = block_compose(identity(f.r), x1, x2, x3)
-        return mat_mul(mat_mul(f.p, mid), f.q)
-    raise V4Singular("trailing block of Q*P is singular for every pivot policy")
+    f = full_rank_reduce(a)
+    gb = group_blocks(f)
+    if mat_rank(gb.v4) < a.rows - f.r:
+        raise IndexTooLarge(f"group inverse requires index <= 1, got {_index_by_rank(a)}")
+    v4i = mat_inverse(gb.v4)
+    x1 = mat_scale(mat_mul(gb.v2, v4i), -1)
+    x2 = mat_scale(mat_mul(v4i, gb.v3), -1)
+    x3 = mat_mul(mat_mul(mat_mul(v4i, gb.v3), gb.v2), v4i)
+    mid = block_compose(identity(f.r), x1, x2, x3)
+    return mat_mul(mat_mul(f.p, mid), f.q)
 
 
 def drazin_inverse(a: RMatrix) -> RMatrix:
     """The Drazin inverse A^k * q(A)^(k+1) at k = index of A; zero for
     nilpotent input, the group inverse when the index is at most 1."""
-    if not a.is_square:
-        raise DimensionMismatch(f"Drazin inverse needs a square matrix, got {a.rows}x{a.cols}")
-    mu = minimal_polynomial(a)
-    k = _index_by_rank(a)
-    if k != mu.index:
-        raise InternalInvariantViolation(f"rank index {k} != polynomial index {mu.index}")
+    k, mu = _checked_index(a, "Drazin inverse")
     qa = poly_at(q_polynomial(mu).coeffs, a)
     return mat_mul(mat_pow(a, k), mat_pow(qa, k + 1))
 
@@ -261,7 +249,7 @@ def is_ep(a: RMatrix) -> bool:
     if not a.is_square:
         raise DimensionMismatch(f"EP test needs a square matrix, got {a.rows}x{a.cols}")
     by_definition = moore_penrose(a) == drazin_inverse(a)
-    stacked = block_compose(a, ABSENT, mat_transpose(a), ABSENT)
+    stacked = block_compose(a, zeros(a.rows, 0), mat_transpose(a), zeros(a.rows, 0))
     by_nullspace = mat_rank(stacked) == mat_rank(a)
     if by_definition != by_nullspace:
         raise InternalInvariantViolation("EP detection routes disagree")

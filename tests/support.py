@@ -103,6 +103,20 @@ def rand_index_one_singular(rng: random.Random, n: int) -> RMatrix:
     return mat_mul(mat_mul(s, core), mat_inverse(s))
 
 
+def nilpotent_jordan(k: int) -> RMatrix:
+    """The k x k nilpotent Jordan block (ones above the diagonal), index k."""
+    return RMatrix(k, k, tuple(tuple(Fraction(j == i + 1) for j in range(k)) for i in range(k)))
+
+
+def rand_with_index(rng: random.Random, k: int, m: int) -> RMatrix:
+    """S * diag(N_k, M) * S^-1 with regular M of size m >= 1: index exactly k."""
+    from geninv import block_compose, mat_inverse, zeros
+
+    core = block_compose(nilpotent_jordan(k), zeros(k, m), zeros(m, k), rand_invertible(rng, m))
+    s = rand_invertible(rng, k + m)
+    return mat_mul(mat_mul(s, core), mat_inverse(s))
+
+
 def rand_symmetric_singular(rng: random.Random, n: int) -> RMatrix:
     """Gt*G for a (n-1) x n factor G: symmetric with rank below n."""
     g = rand_matrix(rng, n - 1, n)

@@ -194,6 +194,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ":3:3:" in err
 
+    def test_non_utf8_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rmat"
+        bad.write_bytes(b"2 2\n1 2\n3 \xff\n")
+        assert run(["pinv", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"geninv: parse error: {bad}:3:3: ")
+        assert "0xff" in err and "Traceback" not in err
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert run(["pinv", str(tmp_path / "absent.rmat")]) == 2
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from geninv import (ABSENT, DimensionMismatch, IndexOutOfRange, RMatrix,
+from geninv import (DimensionMismatch, IndexOutOfRange, RMatrix,
                     SingularMatrix, block_compose, block_extract,
                     format_rational, identity, mat_add, mat_inverse, mat_mul,
                     mat_rank, mat_transpose, parse_rational, partial_identity,
@@ -135,19 +135,19 @@ class TestBlocks:
         ])
 
     def test_compose_single_block(self):
-        assert block_compose(identity(2), ABSENT, ABSENT, ABSENT) == identity(2)
+        assert block_compose(identity(2), zeros(2, 0), zeros(0, 2), zeros(0, 0)) == identity(2)
 
     def test_compose_mismatched_heights(self):
         with pytest.raises(DimensionMismatch):
-            block_compose(identity(2), zeros(3, 1), ABSENT, ABSENT)
+            block_compose(identity(2), zeros(3, 1), zeros(0, 2), zeros(0, 1))
 
     def test_compose_missing_interior_block(self):
+        # the off-diagonal slots of [[I2, x1], [x2, I3]] are 2x3 and 3x2, not empty
         with pytest.raises(DimensionMismatch):
-            block_compose(identity(2), ABSENT, ABSENT, identity(3))
+            block_compose(identity(2), zeros(2, 0), zeros(0, 2), identity(3))
 
     def test_compose_all_absent(self):
-        with pytest.raises(DimensionMismatch):
-            block_compose(ABSENT, ABSENT, ABSENT, ABSENT)
+        assert block_compose(*(zeros(0, 0),) * 4) == zeros(0, 0)
 
     def test_extract_golden_gram_blocks(self):
         qq = mat_mul(support.EX1_Q, mat_transpose(support.EX1_Q))
@@ -158,11 +158,11 @@ class TestBlocks:
 
     def test_extract_full_split(self):
         a = support.EX1
-        assert block_extract(a, 3) == (a, ABSENT, ABSENT, ABSENT)
+        assert block_extract(a, 3) == (a, zeros(3, 0), zeros(0, 3), zeros(0, 0))
 
     def test_extract_zero_split(self):
         a = support.EX1
-        assert block_extract(a, 0) == (ABSENT, ABSENT, ABSENT, a)
+        assert block_extract(a, 0) == (zeros(0, 0), zeros(0, 3), zeros(3, 0), a)
 
     def test_extract_golden_group_blocks(self):
         qp = mat_mul(support.EX3_Q, support.EX3_P)
@@ -182,6 +182,39 @@ class TestBlocks:
         assert block_compose(*blocks) == a
         # and composing then splitting again recovers the same blocks
         assert block_extract(block_compose(*blocks), r) == blocks
+
+
+class TestZeroSize:
+    def test_mul_empty_inner_dimension(self):
+        assert mat_mul(zeros(3, 0), zeros(0, 2)) == zeros(3, 2)
+
+    def test_mul_empty_outer_dimensions(self):
+        assert mat_mul(zeros(0, 3), support.EX1) == zeros(0, 3)
+        assert mat_mul(support.EX1, zeros(3, 0)) == zeros(3, 0)
+
+    def test_transpose_keeps_shape(self):
+        assert mat_transpose(zeros(0, 3)) == zeros(3, 0)
+        assert mat_transpose(zeros(3, 0)) == zeros(0, 3)
+
+    @pytest.mark.parametrize("a", [support.EX1, RMatrix.from_rows([[1, 2, 0, 5], [3, 4, 1, 0]])])
+    def test_extract_compose_every_split(self, a):
+        for r in range(min(a.rows, a.cols) + 1):
+            assert block_compose(*block_extract(a, r)) == a
+
+    def test_str(self):
+        assert str(zeros(0, 3)) == ""
+        assert str(zeros(0, 0)) == ""
+        assert str(zeros(2, 0)) == "\n"
+
+    def test_from_rows_stays_at_least_1x1(self):
+        with pytest.raises(ValueError):
+            RMatrix.from_rows([])
+        with pytest.raises(ValueError):
+            RMatrix.from_rows([[]])
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            RMatrix(-1, 0, ())
 
 
 class TestExactness:

@@ -13,7 +13,7 @@ from geninv import (BlockParams, DimensionMismatch, NotIdempotent,
                     g2_inverse, identity, mat_inverse, mat_mul, mat_rank,
                     mat_transpose, moore_penrose, validate_g2_blocks,
                     validate_g3_blocks, validate_g4_blocks, zeros)
-from support import rand_idempotent, rand_matrix, rmatrices
+from support import rand_idempotent, rand_invertible, rand_matrix, rmatrices
 
 
 def golden_factors():
@@ -103,6 +103,32 @@ class TestG1:
     def test_bad_block_shape(self):
         with pytest.raises(DimensionMismatch):
             g1_inverse(golden_factors(), x1=zeros(1, 1))
+
+
+class TestRankZero:
+    def test_supplied_x3_is_honoured(self):
+        # at r = 0 the whole middle factor is the free block X3, so X = P*x3*Q
+        rng = random.Random(20)
+        a = zeros(2, 3)
+        f = factor_with(a, rand_invertible(rng, 3), rand_invertible(rng, 2))
+        x3 = rand_matrix(rng, 3, 2)
+        want = mat_mul(mat_mul(f.p, x3), f.q)
+        assert want != zeros(3, 2)
+        for construct, equations in ((g1_inverse, ()),
+                                     (g13_inverse, (eq3_holds,)),
+                                     (g14_inverse, (eq4_holds,)),
+                                     (g134_inverse, (eq3_holds, eq4_holds))):
+            x = construct(f, x3=x3)
+            assert x == want
+            assert eq1_holds(a, x)
+            for holds in equations:
+                assert holds(a, x)
+
+    def test_forced_x3_is_zero(self):
+        f = full_rank_reduce(zeros(3, 2))
+        for construct in (g12_inverse, g123_inverse, g124_inverse, g2_inverse):
+            assert construct(f) == zeros(2, 3)
+        assert moore_penrose(f.a) == zeros(2, 3)
 
 
 class TestG2:

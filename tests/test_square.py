@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (DimensionMismatch, IndexTooLarge, RMatrix, factor_with,
+from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge, RMatrix,
+                    factor_with, full_rank_reduce,
                     group_blocks, drazin_inverse, drazin_onecheck,
                     group_inverse_block, group_inverse_poly, identity,
                     index_of, is_ep, mat_inverse, mat_mul, mat_pow, mat_rank,
                     minimal_polynomial, moore_penrose, poly_at, poly_str,
                     q_polynomial, zeros)
 from support import (NILPOTENT_2, rand_index_one_singular, rand_matrix,
-                     rand_nilpotent, rand_symmetric_singular, rmatrices)
+                     rand_nilpotent, rand_symmetric_singular, rand_with_index,
+                     rmatrices)
 
 
 class TestMinimalPolynomial:
@@ -140,6 +142,30 @@ class TestGroupInverse:
         mats += [zeros(n, n) for n in (1, 2, 3)]
         for a in mats:
             assert group_inverse_poly(a) == group_inverse_block(a)
+
+    def test_v4_regular_exactly_at_index_at_most_one(self):
+        # Jacobi's complementary-minor identity: the trailing block V4 of Q*P
+        # is regular iff rank(A^2) = rank(A), whatever reduction produced Q, P
+        rng = random.Random(27)
+        mats = [rand_with_index(rng, k, rng.randint(1, 3)) for k in range(4) for _ in range(6)]
+        for _ in range(24):
+            n = rng.randint(2, 5)
+            r = rng.randint(1, n)
+            mats.append(mat_mul(rand_matrix(rng, n, r), rand_matrix(rng, r, n)))
+        indices = set()
+        for a in mats:
+            k = index_of(a)
+            indices.add(k)
+            for policy in PIVOT_POLICIES:
+                f = full_rank_reduce(a, policy)
+                v4 = group_blocks(f).v4
+                assert (mat_rank(v4) == v4.rows) == (k <= 1)
+            if k >= 2:
+                with pytest.raises(IndexTooLarge):
+                    group_inverse_block(a)
+            else:
+                assert group_inverse_block(a) == group_inverse_poly(a)
+        assert indices == {0, 1, 2, 3}
 
     def test_qa_is_a_one_inverse_at_index_one(self):
         rng = random.Random(22)
