@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from .errors import GenInvError, ParseError
 from .exact import RMatrix, format_rational, parse_rational
@@ -90,6 +91,10 @@ class _UsageError(Exception):
     pass
 
 
+class _OutputTooLarge(Exception):
+    pass
+
+
 def _load(path: str) -> RMatrix:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -113,22 +118,27 @@ def _no_zero_conflict(args, names) -> None:
         raise _UsageError("--zero cannot be combined with explicit block files")
 
 
-def _emit(mat: RMatrix, args) -> int:
-    sys.stdout.write(pretty_matrix(mat) if args.pretty else write_matrix(mat))
-    return 0
+def _text(render, value) -> str:
+    """render(value); a number past Python's int-to-text limit is a size error."""
+    try:
+        return render(value)
+    except ValueError as exc:  # the only error str() raises on an int
+        raise _OutputTooLarge(f"output too large: a number has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
 
 
-def _cmd_factor(args) -> int:
+def _out(mat: RMatrix, args) -> str:
+    return _text(pretty_matrix if args.pretty else write_matrix, mat)
+
+
+def _cmd_factor(args) -> str:
     f = full_rank_reduce(_load(args.matrix))
     render = pretty_matrix if args.pretty else write_matrix
-    sys.stdout.write("# P\n" + render(f.p))
-    sys.stdout.write("# Q\n" + render(f.q))
-    sys.stdout.write(f"# r\n{f.r}\n")
-    return 0
+    return f"# P\n{_text(render, f.p)}# Q\n{_text(render, f.q)}# r\n{f.r}\n"
 
 
-def _cmd_pinv(args) -> int:
-    return _emit(moore_penrose(_load(args.matrix)), args)
+def _cmd_pinv(args) -> str:
+    return _out(moore_penrose(_load(args.matrix)), args)
 
 
 # subcommand gN -> ((option, keyword) per free block of rect.gN_inverse, help)
@@ -144,60 +154,48 @@ _G_COMMANDS = {
 }
 
 
-def _cmd_g(args) -> int:
+def _cmd_g(args) -> str:
     blocks, _ = _G_COMMANDS[args.command]
     _no_zero_conflict(args, [option for option, _ in blocks])
     # looked up at call time, as a call by name would be, so that a wrapper
     # installed on geninv.rect (such as perfbench's tracer) sees the call
     construct = getattr(rect, f"{args.command}_inverse")
     f = full_rank_reduce(_load(args.matrix))
-    return _emit(construct(f, **{kw: _load_opt(args, option) for option, kw in blocks}), args)
+    return _out(construct(f, **{kw: _load_opt(args, option) for option, kw in blocks}), args)
 
 
-def _cmd_group(args) -> int:
+def _cmd_group(args) -> str:
     a = _load(args.matrix)
     x = group_inverse_poly(a) if args.method == "poly" else group_inverse_block(a)
-    return _emit(x, args)
+    return _out(x, args)
 
 
-def _cmd_drazin(args) -> int:
-    return _emit(drazin_inverse(_load(args.matrix)), args)
+def _cmd_drazin(args) -> str:
+    return _out(drazin_inverse(_load(args.matrix)), args)
 
 
-def _cmd_index(args) -> int:
-    print(index_of(_load(args.matrix)))
-    return 0
+def _cmd_index(args) -> str:
+    return f"{index_of(_load(args.matrix))}\n"
 
 
-def _cmd_minpoly(args) -> int:
-    print(poly_str(minimal_polynomial(_load(args.matrix)).coeffs))
-    return 0
+def _cmd_minpoly(args) -> str:
+    return _text(poly_str, minimal_polynomial(_load(args.matrix)).coeffs) + "\n"
 
 
-def _cmd_qpoly(args) -> int:
-    print(poly_str(q_polynomial(minimal_polynomial(_load(args.matrix))).coeffs))
-    return 0
+def _cmd_qpoly(args) -> str:
+    return _text(poly_str, q_polynomial(minimal_polynomial(_load(args.matrix))).coeffs) + "\n"
 
 
-def _cmd_ep(args) -> int:
-    print("true" if is_ep(_load(args.matrix)) else "false")
-    return 0
+def _cmd_ep(args) -> str:
+    return "true\n" if is_ep(_load(args.matrix)) else "false\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str:
     rep = check(_load(args.matrix), _load(args.candidate))
-
-    def word(v):
-        return "n/a" if v is None else ("yes" if v else "no")
-
-    print(f"eq1 AXA=A: {word(rep.eq1)}")
-    print(f"eq2 XAX=X: {word(rep.eq2)}")
-    print(f"eq3 (AX)^T=AX: {word(rep.eq3)}")
-    print(f"eq4 (XA)^T=XA: {word(rep.eq4)}")
-    print(f"eq5 AX=XA: {word(rep.eq5)}")
-    print(f"eq6 A^kXA=A^k: {word(rep.eq6)}")
-    print("classes: " + (" ".join(rep.classes) if rep.classes else "(none)"))
-    return 0
+    eqs = {"eq1 AXA=A": rep.eq1, "eq2 XAX=X": rep.eq2, "eq3 (AX)^T=AX": rep.eq3,
+           "eq4 (XA)^T=XA": rep.eq4, "eq5 AX=XA": rep.eq5, "eq6 A^kXA=A^k": rep.eq6}
+    lines = [f"{eq}: {'n/a' if v is None else ('yes' if v else 'no')}" for eq, v in eqs.items()]
+    return "\n".join(lines + ["classes: " + (" ".join(rep.classes) or "(none)")]) + "\n"
 
 
 _HANDLERS = {
@@ -214,6 +212,7 @@ _HANDLERS = {
 }
 
 
+@cache  # built on the first run, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -250,26 +249,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Parse arguments, dispatch, and map errors to exit codes."""
-    parser = _build_parser()
+    """Parse arguments, dispatch, and map errors to exit codes; write a command's output whole."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
+        out = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"{PROG}: parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
+    except _OutputTooLarge as exc:
+        print(f"{PROG}: {exc}", file=sys.stderr)
+        return 1
     except GenInvError as exc:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out)
+    return 0
 
 
 def main() -> None:

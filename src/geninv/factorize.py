@@ -105,14 +105,10 @@ def full_rank_reduce(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> Factor
 
 def verify_factorization(f: FactoredMatrix) -> bool:
     """True iff Q*A*P is the rank-r partial identity with regular P, Q and r = rank(A)."""
-    a, p, q = f.a, f.p, f.q
-    if p.shape != (a.cols, a.cols) or q.shape != (a.rows, a.rows):
+    try:
+        return factor_with(f.a, f.p, f.q).r == f.r
+    except InvalidFactorization:
         return False
-    if f.r != mat_rank(a):
-        return False
-    if mat_rank(p) != p.rows or mat_rank(q) != q.rows:
-        return False
-    return mat_mul(mat_mul(q, a), p) == partial_identity(a.rows, a.cols, f.r)
 
 
 def factor_with(a: RMatrix, p: RMatrix, q: RMatrix) -> FactoredMatrix:

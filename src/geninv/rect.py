@@ -1,10 +1,13 @@
 """Block constructions of generalized inverses from a full-rank reduction.
 
 Every inverse built here has the shape X = P * [[X0, X1], [X2, X3]] * Q for a
-reduction Q*A*P = E_r. Each constructor pins the blocks its inverse class
-requires and leaves the rest free; omitted free blocks default to zero, the
-canonical member of the family. At r = 0, r = m or r = n some blocks are
-0-row or 0-column matrices and the same formulas apply unchanged.
+reduction Q*A*P = E_r. Each class pins some blocks and leaves the rest free;
+omitted free blocks default to zero, the canonical member of the family. At
+r = 0, r = m or r = n some blocks are 0-row or 0-column matrices and the same
+formulas apply unchanged. A {2}-type inverse has X3 = X2*X1, so it is built as
+X = (P*[I; X2]) * X0 * ([I, X1]*Q) without a middle matrix (``g2_inverse``,
+``g12_inverse``); ``g1_inverse`` assembles the middle matrix, its X3 being
+free. Every other constructor computes its forced blocks and calls one of these.
 
 The {3}- and {4}-classes need the Gram matrices Q*Qt and Pt*P: their trailing
 blocks S4, T4 are always regular, and the canonical choices -S2*S4^-1 and
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionMismatch, InternalInvariantViolation, NotIdempotent
-from .exact import (RMatrix, block_compose, block_extract, identity, mat_inverse,
-                    mat_mul, mat_rank, mat_scale, mat_sub, mat_transpose, zeros)
+from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
+                    mat_inverse, mat_mul, mat_rank, mat_scale, mat_transpose, zeros)
 from .factorize import DEFAULT_POLICY, FactoredMatrix, PivotPolicy, full_rank_reduce
 
 FreeBlock = Optional[RMatrix]
@@ -106,6 +109,16 @@ def _assemble(f: FactoredMatrix, x0: RMatrix, x1: RMatrix, x2: RMatrix,
     return mat_mul(mat_mul(f.p, block_compose(x0, x1, x2, x3)), f.q)
 
 
+def _left(f: FactoredMatrix, x2: RMatrix) -> RMatrix:
+    """P*[I; x2], the n x r left factor of a {2}-type inverse."""
+    return mat_mul(f.p, block_compose(identity(f.r), zeros(f.r, 0), x2, zeros(f.n - f.r, 0)))
+
+
+def _right(f: FactoredMatrix, x1: RMatrix) -> RMatrix:
+    """[I, x1]*Q, the r x m right factor of a {2}-type inverse."""
+    return mat_mul(block_compose(identity(f.r), x1, zeros(0, f.r), zeros(0, f.m - f.r)), f.q)
+
+
 def _star_x1(sq: StarBlocksQ) -> RMatrix:
     """-S2*S4^-1, the forced top-right block of the {3}-family."""
     return mat_scale(mat_mul(sq.s2, mat_inverse(sq.s4)), -1)
@@ -128,15 +141,14 @@ def g1_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None,
 def g2_inverse(f: FactoredMatrix, x0: FreeBlock = None, fblk: FreeBlock = None,
                gblk: FreeBlock = None) -> RMatrix:
     """A {2}-inverse: X*A*X = X, built from an idempotent core x0 and shape
-    factors fblk, gblk via X1 = x0*fblk, X2 = gblk*x0, X3 = X2*X1."""
+    factors fblk, gblk via X1 = x0*fblk, X2 = gblk*x0, X3 = X2*X1, that is
+    X = P*[I; gblk] * x0 * [I, fblk]*Q."""
     x0 = _resolve_free(x0, f.r, f.r, "x0")
     fblk = _resolve_free(fblk, f.r, f.m - f.r, "fblk")
     gblk = _resolve_free(gblk, f.n - f.r, f.r, "gblk")
     if mat_mul(x0, x0) != x0:
         raise NotIdempotent("x0 must satisfy x0*x0 = x0")
-    x1 = mat_mul(x0, fblk)
-    x2 = mat_mul(gblk, x0)
-    return _assemble(f, x0, x1, x2, mat_mul(x2, x1))
+    return mat_mul(mat_mul(_left(f, gblk), x0), _right(f, fblk))
 
 
 def validate_g2_blocks(f: FactoredMatrix, b: BlockParams) -> bool:
@@ -153,10 +165,11 @@ def validate_g2_blocks(f: FactoredMatrix, b: BlockParams) -> bool:
 
 
 def g12_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None) -> RMatrix:
-    """A {1,2}-inverse of rank r: A*X*A = A and X*A*X = X; X3 is forced to X2*X1."""
+    """A {1,2}-inverse of rank r: A*X*A = A and X*A*X = X; X3 is forced to X2*X1,
+    so X = P*[I; x2] * [I, x1]*Q."""
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
-    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
+    return mat_mul(_left(f, x2), _right(f, x1))
 
 
 def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bool:
@@ -164,10 +177,10 @@ def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bo
     matrix W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1. Also confirmed
     against symmetry of A*X directly."""
     _check_params(f, b)
-    s4i = mat_inverse(sq.s4)
-    w = mat_sub(sq.s1, mat_mul(mat_mul(sq.s2, s4i), mat_transpose(sq.s2)))
+    x1f = _star_x1(sq)
+    w = mat_add(sq.s1, mat_mul(x1f, mat_transpose(sq.s2)))
     cond = (mat_mul(w, mat_transpose(b.x0)) == mat_mul(b.x0, w)
-            and b.x1 == mat_scale(mat_mul(mat_mul(b.x0, sq.s2), s4i), -1))
+            and b.x1 == mat_mul(b.x0, x1f))
     x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
     ax = mat_mul(f.a, x)
     direct = mat_transpose(ax) == ax
@@ -178,28 +191,24 @@ def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bo
 
 def g13_inverse(f: FactoredMatrix, x2: FreeBlock = None, x3: FreeBlock = None) -> RMatrix:
     """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free."""
-    x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
-    x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
     sq, _ = compute_star_blocks(f)
-    return _assemble(f, identity(f.r), _star_x1(sq), x2, x3)
+    return g1_inverse(f, _star_x1(sq), x2, x3)
 
 
 def g123_inverse(f: FactoredMatrix, x2: FreeBlock = None) -> RMatrix:
     """A {1,2,3}-inverse: X3 is forced to X2 * (-S2*S4^-1)."""
-    x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
     sq, _ = compute_star_blocks(f)
-    x1 = _star_x1(sq)
-    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
+    return g12_inverse(f, _star_x1(sq), x2)
 
 
 def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bool:
     """Mirror of the {3}-validator: x0t*W = W*x0 for W = T1 - T2*T4^-1*T2t and
     x2 = -T4^-1*T3*x0, confirmed against symmetry of X*A directly."""
     _check_params(f, b)
-    t4i = mat_inverse(sp.t4)
-    w = mat_sub(sp.t1, mat_mul(mat_mul(sp.t2, t4i), mat_transpose(sp.t2)))
+    x2f = _star_x2(sp)
+    w = mat_add(sp.t1, mat_mul(sp.t2, x2f))
     cond = (mat_mul(mat_transpose(b.x0), w) == mat_mul(w, b.x0)
-            and b.x2 == mat_scale(mat_mul(mat_mul(t4i, sp.t3), b.x0), -1))
+            and b.x2 == mat_mul(x2f, b.x0))
     x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
     xa = mat_mul(x, f.a)
     direct = mat_transpose(xa) == xa
@@ -210,25 +219,20 @@ def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bo
 
 def g14_inverse(f: FactoredMatrix, x1: FreeBlock = None, x3: FreeBlock = None) -> RMatrix:
     """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free."""
-    x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
-    x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
     _, sp = compute_star_blocks(f)
-    return _assemble(f, identity(f.r), x1, _star_x2(sp), x3)
+    return g1_inverse(f, x1, _star_x2(sp), x3)
 
 
 def g124_inverse(f: FactoredMatrix, x1: FreeBlock = None) -> RMatrix:
     """A {1,2,4}-inverse: X3 is forced to (-T4^-1*T3) * X1."""
-    x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     _, sp = compute_star_blocks(f)
-    x2 = _star_x2(sp)
-    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
+    return g12_inverse(f, x1, _star_x2(sp))
 
 
 def g134_inverse(f: FactoredMatrix, x3: FreeBlock = None) -> RMatrix:
     """A {1,3,4}-inverse: both forced blocks, X3 free."""
-    x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
     sq, sp = compute_star_blocks(f)
-    return _assemble(f, identity(f.r), _star_x1(sq), _star_x2(sp), x3)
+    return g1_inverse(f, _star_x1(sq), _star_x2(sp), x3)
 
 
 def moore_penrose(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> RMatrix:
@@ -236,6 +240,4 @@ def moore_penrose(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> RMatrix:
     defining equations. Independent of the pivot policy used internally."""
     f = full_rank_reduce(a, policy)
     sq, sp = compute_star_blocks(f)
-    x1 = _star_x1(sq)
-    x2 = _star_x2(sp)
-    return _assemble(f, identity(f.r), x1, x2, mat_mul(x2, x1))
+    return g12_inverse(f, _star_x1(sq), _star_x2(sp))

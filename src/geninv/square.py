@@ -20,7 +20,7 @@ from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
                     mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
-from .rect import moore_penrose
+from .rect import g12_inverse, moore_penrose
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,8 @@ def group_blocks(f: FactoredMatrix) -> GroupBlocks:
 
 
 def group_inverse_block(a: RMatrix) -> RMatrix:
-    """The group inverse from the blocks of Q*P, without any polynomial:
+    """The group inverse from the blocks of Q*P, without any polynomial: the
+    {1,2}-inverse with X1 = -V2*V4^-1 and X2 = -V4^-1*V3, which is
     P * [[I, -V2*V4^-1], [-V4^-1*V3, V4^-1*V3*V2*V4^-1]] * Q.
 
     V4 is regular exactly when the index is at most 1 (Jacobi's identity for
@@ -219,11 +220,7 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
     if mat_rank(gb.v4) < a.rows - f.r:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {_index_by_rank(a)}")
     v4i = mat_inverse(gb.v4)
-    x1 = mat_scale(mat_mul(gb.v2, v4i), -1)
-    x2 = mat_scale(mat_mul(v4i, gb.v3), -1)
-    x3 = mat_mul(mat_mul(mat_mul(v4i, gb.v3), gb.v2), v4i)
-    mid = block_compose(identity(f.r), x1, x2, x3)
-    return mat_mul(mat_mul(f.p, mid), f.q)
+    return g12_inverse(f, -mat_mul(gb.v2, v4i), -mat_mul(v4i, gb.v3))
 
 
 def drazin_inverse(a: RMatrix) -> RMatrix:

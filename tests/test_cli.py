@@ -1,7 +1,13 @@
 """Command line: file format, subcommands, exit codes, diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import geninv
 import support
 from geninv import ParseError, mat_mul, partial_identity
 from geninv.cli import parse_matrix_text, pretty_matrix, run, write_matrix
@@ -222,3 +228,62 @@ class TestExitCodes:
         wide.write_text("1 2\n1 2\n")
         assert run(["index", str(wide)]) == 1
         assert "DimensionMismatch" in capsys.readouterr().err
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of ``python -m geninv`` in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(geninv.__file__).parents[1]), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "geninv", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """The argument parser is built once per process; later calls must not see
+    anything an earlier call left behind."""
+
+    def in_process(self, capsys, argv):
+        code = run(argv)
+        got = capsys.readouterr()
+        return code, got.out, got.err
+
+    def test_usage_error_then_valid_call(self, ex1_file, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.in_process(capsys, ["pinv"]) == run_fresh(["pinv"])
+        assert self.in_process(capsys, ["pinv", ex1_file]) == run_fresh(["pinv", ex1_file])
+
+    def test_help_unchanged(self, ex1_file, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        self.in_process(capsys, ["g13", ex1_file, "--x9"])
+        for argv in (["--help"], ["g2", "--help"]):
+            code, out, err = self.in_process(capsys, argv)
+            assert (code, out, err) == run_fresh(argv)
+            assert code == 0 and out.startswith("usage: geninv")
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-text limit")
+class TestIntTextLimit:
+    """Python converts ints of at most sys.get_int_max_str_digits() digits to
+    and from text; past that, input is a parse error and output a size error."""
+
+    def test_input_entry_over_limit_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.rmat"
+        path.write_text(f"1 2\n1 1/{'3' * (sys.get_int_max_str_digits() + 1)}\n")
+        assert run(["pinv", str(path)]) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith(f"geninv: parse error: {path}:2:3: ")
+
+    def test_output_entry_over_limit_is_size_error(self, tmp_path, capsys):
+        # every entry fits, but a*a, which the results hold, does not
+        a = "7" * (sys.get_int_max_str_digits() * 7 // 10)
+        jordan = tmp_path / "jordan.rmat"
+        jordan.write_text(f"2 2\n{a} 1\n0 {a}\n")
+        mixed = tmp_path / "mixed.rmat"  # factor: P holds a, Q holds 1/(1 - a*a)
+        mixed.write_text(f"2 2\n1 {a}\n{a} 1\n")
+        limit = sys.get_int_max_str_digits()
+        for argv in (["pinv", jordan], ["pinv", jordan, "--pretty"], ["qpoly", jordan],
+                     ["minpoly", jordan], ["g12", jordan], ["factor", mixed]):
+            assert run([str(arg) for arg in argv]) == 1
+            got = capsys.readouterr()
+            assert got.out == ""
+            assert got.err == f"geninv: output too large: a number has more than {limit} digits\n"

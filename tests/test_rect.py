@@ -1,19 +1,23 @@
 """Block constructions: each inverse family satisfies exactly its equations."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
 
 import support
-from geninv import (BlockParams, DimensionMismatch, NotIdempotent,
-                    RMatrix, block_extract, compute_star_blocks, factor_with,
-                    full_rank_reduce, g1_inverse, g12_inverse, g123_inverse,
-                    g124_inverse, g13_inverse, g134_inverse, g14_inverse,
-                    g2_inverse, identity, mat_inverse, mat_mul, mat_rank,
-                    mat_transpose, moore_penrose, validate_g2_blocks,
-                    validate_g3_blocks, validate_g4_blocks, zeros)
-from support import rand_idempotent, rand_invertible, rand_matrix, rmatrices
+from geninv import (PIVOT_POLICIES, BlockParams, DimensionMismatch,
+                    NotIdempotent, RMatrix, block_compose, block_extract,
+                    compute_star_blocks, factor_with, full_rank_reduce,
+                    g1_inverse, g12_inverse, g123_inverse, g124_inverse,
+                    g13_inverse, g134_inverse, g14_inverse, g2_inverse,
+                    group_blocks, group_inverse_block, identity, index_of,
+                    mat_inverse, mat_mul, mat_rank, mat_transpose,
+                    moore_penrose, validate_g2_blocks, validate_g3_blocks,
+                    validate_g4_blocks, zeros)
+from support import (rand_idempotent, rand_index_one_singular, rand_invertible,
+                     rand_matrix, rmatrices)
 
 
 def golden_factors():
@@ -66,13 +70,10 @@ class TestStarBlocks:
         sq, sp = compute_star_blocks(f)
         for b1, b2, b3, b4 in ((sq.s1, sq.s2, sq.s3, sq.s4),
                                (sp.t1, sp.t2, sp.t3, sp.t4)):
-            if isinstance(b1, RMatrix):
-                assert mat_transpose(b1) == b1
-            if isinstance(b2, RMatrix):
-                assert mat_transpose(b2) == b3
-            if isinstance(b4, RMatrix):
-                assert mat_transpose(b4) == b4
-                assert mat_rank(b4) == b4.rows
+            assert mat_transpose(b1) == b1
+            assert mat_transpose(b2) == b3
+            assert mat_transpose(b4) == b4
+            assert mat_rank(b4) == b4.rows
 
 
 class TestG1:
@@ -384,3 +385,65 @@ class TestMoorePenrose:
     @given(rmatrices(max_dim=4))
     def test_double_pseudoinverse(self, a):
         assert moore_penrose(moore_penrose(a)) == a
+
+
+class TestBlockFormula:
+    """Every constructor equals P*[[X0, X1], [X2, X3]]*Q with its blocks set by
+    the paper's rules: X0 = I for {1}, X3 = X2*X1 for {2}, X1 = -S2*S4^-1 for
+    {3} and X2 = -T4^-1*T3 for {4}; the group inverse takes X1 = -V2*V4^-1
+    and X2 = -V4^-1*V3 from the blocks of Q*P."""
+
+    @staticmethod
+    def inputs(rng):
+        # rank 0, full row rank, full column rank, regular, and in between
+        for m, n, r in ((3, 4, 0), (4, 2, 0), (3, 3, 0), (2, 4, 2), (4, 2, 2),
+                        (1, 3, 1), (3, 3, 3), (4, 5, 2), (5, 3, 1), (4, 4, 2)):
+            yield mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n)) if r else zeros(m, n)
+        for n in (2, 4, 5):
+            yield rand_index_one_singular(rng, n)
+
+    @staticmethod
+    def formula(f, x0, x1, x2, x3):
+        return mat_mul(mat_mul(f.p, block_compose(x0, x1, x2, x3)), f.q)
+
+    def test_constructors_match_block_formula(self):
+        rng = random.Random(22)
+        for a in self.inputs(rng):
+            for policy, explicit in product(PIVOT_POLICIES, (False, True)):
+                f = full_rank_reduce(a, policy)
+                r, m, n = f.r, f.m, f.n
+
+                def free(rows, cols):
+                    return rand_matrix(rng, rows, cols) if explicit and rows and cols \
+                        else zeros(rows, cols)
+
+                def passed(**blocks):  # explicit blocks are passed, default ones left out
+                    return blocks if explicit else {}
+
+                x0 = rand_idempotent(rng, r) if explicit and r else zeros(r, r)
+                x1, x2, x3 = free(r, m - r), free(n - r, r), free(n - r, m - r)
+                sq, sp = compute_star_blocks(f)
+                star1 = -mat_mul(sq.s2, mat_inverse(sq.s4))
+                star2 = -mat_mul(mat_inverse(sp.t4), sp.t3)
+                i = identity(r)
+                cases = (
+                    (g1_inverse(f, **passed(x1=x1, x2=x2, x3=x3)), (i, x1, x2, x3)),
+                    (g12_inverse(f, **passed(x1=x1, x2=x2)), (i, x1, x2, mat_mul(x2, x1))),
+                    (g13_inverse(f, **passed(x2=x2, x3=x3)), (i, star1, x2, x3)),
+                    (g123_inverse(f, **passed(x2=x2)), (i, star1, x2, mat_mul(x2, star1))),
+                    (g14_inverse(f, **passed(x1=x1, x3=x3)), (i, x1, star2, x3)),
+                    (g124_inverse(f, **passed(x1=x1)), (i, x1, star2, mat_mul(star2, x1))),
+                    (g134_inverse(f, **passed(x3=x3)), (i, star1, star2, x3)),
+                    (moore_penrose(a, policy), (i, star1, star2, mat_mul(star2, star1))),
+                    (g2_inverse(f, **passed(x0=x0, fblk=x1, gblk=x2)),
+                     (x0, mat_mul(x0, x1), mat_mul(x2, x0), mat_mul(mat_mul(x2, x0), x1))),
+                )
+                for x, blocks in cases:
+                    assert x == self.formula(f, *blocks)
+            if a.is_square and index_of(a) <= 1:
+                f = full_rank_reduce(a)
+                v = group_blocks(f)
+                v4i = mat_inverse(v.v4)
+                x1, x2 = -mat_mul(v.v2, v4i), -mat_mul(v4i, v.v3)
+                assert group_inverse_block(a) == self.formula(f, identity(f.r), x1, x2,
+                                                              mat_mul(x2, x1))
