@@ -10,6 +10,7 @@ use from several threads at once.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -23,11 +24,18 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def parse_rational(token: str) -> Rational:
-    """Parse ``-7/36``, ``3`` or ``0``: optional sign, integer, optional /denominator."""
+    """Parse ``-7/36``, ``3`` or ``0``: optional sign, integer, optional /denominator.
+
+    A part past ``sys.get_int_max_str_digits()`` digits is rejected with that
+    limit stated, not with Python's advice to raise it."""
     if not _RATIONAL_RE.match(token):
         raise ValueError(f"invalid rational token {token!r}")
-    if "/" in token and int(token.split("/", 1)[1]) == 0:
+    num, slash, den = token.lstrip("+-").partition("/")
+    if slash and not den.strip("0"):
         raise ValueError(f"zero denominator in {token!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(num), len(den)) > limit:
+        raise ValueError(f"entry has more than {limit} digits")
     return Fraction(token)
 
 
@@ -185,8 +193,10 @@ def mat_pow(a: RMatrix, k: int) -> RMatrix:
         raise DimensionMismatch(f"matrix power needs a square matrix, got {a.rows}x{a.cols}")
     if k < 0:
         raise ValueError("exponent must be non-negative")
-    out = identity(a.rows)
-    for _ in range(k):
+    if k == 0:
+        return identity(a.rows)
+    out = a
+    for _ in range(k - 1):
         out = mat_mul(out, a)
     return out
 

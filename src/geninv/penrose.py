@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch
 from .exact import RMatrix, mat_mul, mat_pow, mat_transpose
-from .square import index_of
+from .square import _checked_index
 
 _CLASS_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("{1}", ("eq1",)),
@@ -70,8 +70,11 @@ def check(a: RMatrix, x: RMatrix, *, index: Optional[int] = None) -> PenroseRepo
     eq4 = mat_transpose(xa) == xa
     if a.is_square:
         eq5: Optional[bool] = ax == xa
-        k = index_of(a) if index is None else index
-        ak = mat_pow(a, k)
+        if index is None:
+            k, _, powers = _checked_index(a, "index")
+            ak = powers[k]  # already formed while the index was found
+        else:
+            ak = mat_pow(a, index)
         eq6: Optional[bool] = mat_mul(ak, xa) == ak
     else:
         eq5 = eq6 = None

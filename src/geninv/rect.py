@@ -11,7 +11,8 @@ free. Every other constructor computes its forced blocks and calls one of these.
 
 The {3}- and {4}-classes need the Gram matrices Q*Qt and Pt*P: their trailing
 blocks S4, T4 are always regular, and the canonical choices -S2*S4^-1 and
--T4^-1*T3 make A*X respectively X*A symmetric.
+-T4^-1*T3 make A*X respectively X*A symmetric. A constructor pinned on one
+side only ({1,3}, {1,2,3}, {1,4}, {1,2,4}) forms only that side's Gram matrix.
 """
 
 from __future__ import annotations
@@ -70,15 +71,23 @@ def _check_symmetric_split(b1: RMatrix, b2: RMatrix, b3: RMatrix, b4: RMatrix,
         raise InternalInvariantViolation(f"trailing block of {what} is singular")
 
 
+def _star_q(f: FactoredMatrix) -> StarBlocksQ:
+    """Split Q*Qt at r and verify its symmetry and regularity."""
+    s1, s2, s3, s4 = block_extract(mat_mul(f.q, mat_transpose(f.q)), f.r)
+    _check_symmetric_split(s1, s2, s3, s4, "Q*Qt")
+    return StarBlocksQ(s1, s2, s3, s4)
+
+
+def _star_p(f: FactoredMatrix) -> StarBlocksP:
+    """Split Pt*P at r and verify its symmetry and regularity."""
+    t1, t2, t3, t4 = block_extract(mat_mul(mat_transpose(f.p), f.p), f.r)
+    _check_symmetric_split(t1, t2, t3, t4, "Pt*P")
+    return StarBlocksP(t1, t2, t3, t4)
+
+
 def compute_star_blocks(f: FactoredMatrix) -> tuple[StarBlocksQ, StarBlocksP]:
     """Split Q*Qt and Pt*P at r and verify their symmetry and regularity."""
-    qq = mat_mul(f.q, mat_transpose(f.q))
-    pp = mat_mul(mat_transpose(f.p), f.p)
-    s1, s2, s3, s4 = block_extract(qq, f.r)
-    t1, t2, t3, t4 = block_extract(pp, f.r)
-    _check_symmetric_split(s1, s2, s3, s4, "Q*Qt")
-    _check_symmetric_split(t1, t2, t3, t4, "Pt*P")
-    return StarBlocksQ(s1, s2, s3, s4), StarBlocksP(t1, t2, t3, t4)
+    return _star_q(f), _star_p(f)
 
 
 def _resolve_free(block: FreeBlock, rows: int, cols: int, name: str) -> RMatrix:
@@ -191,14 +200,12 @@ def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bo
 
 def g13_inverse(f: FactoredMatrix, x2: FreeBlock = None, x3: FreeBlock = None) -> RMatrix:
     """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free."""
-    sq, _ = compute_star_blocks(f)
-    return g1_inverse(f, _star_x1(sq), x2, x3)
+    return g1_inverse(f, _star_x1(_star_q(f)), x2, x3)
 
 
 def g123_inverse(f: FactoredMatrix, x2: FreeBlock = None) -> RMatrix:
     """A {1,2,3}-inverse: X3 is forced to X2 * (-S2*S4^-1)."""
-    sq, _ = compute_star_blocks(f)
-    return g12_inverse(f, _star_x1(sq), x2)
+    return g12_inverse(f, _star_x1(_star_q(f)), x2)
 
 
 def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bool:
@@ -219,14 +226,12 @@ def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bo
 
 def g14_inverse(f: FactoredMatrix, x1: FreeBlock = None, x3: FreeBlock = None) -> RMatrix:
     """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free."""
-    _, sp = compute_star_blocks(f)
-    return g1_inverse(f, x1, _star_x2(sp), x3)
+    return g1_inverse(f, x1, _star_x2(_star_p(f)), x3)
 
 
 def g124_inverse(f: FactoredMatrix, x1: FreeBlock = None) -> RMatrix:
     """A {1,2,4}-inverse: X3 is forced to (-T4^-1*T3) * X1."""
-    _, sp = compute_star_blocks(f)
-    return g12_inverse(f, x1, _star_x2(sp))
+    return g12_inverse(f, x1, _star_x2(_star_p(f)))
 
 
 def g134_inverse(f: FactoredMatrix, x3: FreeBlock = None) -> RMatrix:

@@ -7,6 +7,13 @@ minimal polynomial, and ``index_of`` computes it both ways and insists they
 agree. The q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)) and turns
 the group inverse (A*q(A)^2, index <= 1) and the Drazin inverse
 (A^k * q(A)^(k+1), any index) into plain polynomial expressions in A.
+
+Each call on a square matrix builds its powers I, A, A^2, ... once, in one
+lazy chain (``_Powers``) that forms A^(j+1) = A^j * A only when it is first
+asked for. The rank index, the minimal polynomial, q(A) (a combination of
+the powers, formed with scale and add only), the Drazin inverse and the
+sixth equation of ``penrose.check`` all read from that chain, so no power of
+A is multiplied out twice and no product with I or 0 is formed.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import Optional
 
 from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation
 from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
@@ -97,25 +105,50 @@ def poly_at(coeffs, a: RMatrix) -> RMatrix:
     if not a.is_square:
         raise DimensionMismatch(f"polynomial evaluation needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
-    acc = zeros(n, n)
-    for c in reversed(coeffs):
+    *lower, lead = coeffs or (0,)
+    acc = mat_scale(identity(n), lead)
+    for c in reversed(lower):
         acc = mat_mul(acc, a)
         if c:
             acc = mat_add(acc, mat_scale(identity(n), c))
     return acc
 
 
-def minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
+class _Powers:
+    """The powers I, A, A^2, ... of a square matrix A, each formed once, by
+    one product with A, when it is first asked for."""
+
+    def __init__(self, a: RMatrix) -> None:
+        self.a = a
+        self._powers = [identity(a.rows), a]
+
+    def __getitem__(self, j: int) -> RMatrix:
+        while len(self._powers) <= j:
+            # through the module global, so a wrapper bound in its place sees it
+            self._powers.append(mat_mul(self._powers[-1], self.a))
+        return self._powers[j]
+
+    def combine(self, coeffs) -> RMatrix:
+        """The sum of c_j * A^j over the coefficients, without a product."""
+        n = self.a.rows
+        acc = zeros(n, n)
+        for j, c in enumerate(coeffs):
+            if c:
+                acc = mat_add(acc, mat_scale(self[j], c))
+        return acc
+
+
+def minimal_polynomial(a: RMatrix, _powers: Optional[_Powers] = None) -> MinimalPolynomial:
     """Least-degree monic polynomial with mu(A) = 0, found by scanning the
     flattened powers I, A, A^2, ... for the first linear dependence."""
     if not a.is_square:
         raise DimensionMismatch(f"minimal polynomial needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
+    powers = _Powers(a) if _powers is None else _powers
     basis = []  # (pivot position, reduced power vector, combination over lower powers)
-    power = identity(n)
     degree = 0
     while True:
-        vec = list(chain.from_iterable(power.entries))
+        vec = list(chain.from_iterable(powers[degree].entries))
         combo = [Fraction(0)] * degree + [Fraction(1)]
         for pivot, bvec, bcombo in basis:
             c = vec[pivot]
@@ -132,7 +165,6 @@ def minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
         if degree == n:
             raise InternalInvariantViolation("powers up to A^n are linearly independent")
         basis.append((pivot, vec, combo))
-        power = mat_mul(power, a)
         degree += 1
 
 
@@ -159,29 +191,29 @@ def q_polynomial(mu: MinimalPolynomial) -> QPolynomial:
     return q
 
 
-def _index_by_rank(a: RMatrix) -> int:
-    prev = a.rows  # rank of A^0
-    power = identity(a.rows)
+def _index_by_rank(powers: _Powers) -> int:
+    prev = powers.a.rows  # rank of A^0
     k = 0
     while True:
-        power = mat_mul(power, a)
-        cur = mat_rank(power)
+        cur = mat_rank(powers[k + 1])
         if cur == prev:
             return k
         prev = cur
         k += 1
 
 
-def _checked_index(a: RMatrix, what: str) -> tuple[int, MinimalPolynomial]:
+def _checked_index(a: RMatrix, what: str) -> tuple[int, MinimalPolynomial, _Powers]:
     """The index by the rank sequence and the minimal polynomial, whose lowest
-    nonzero-coefficient degree must agree with it."""
+    nonzero-coefficient degree must agree with it, and the chain of powers of
+    A that both read."""
     if not a.is_square:
         raise DimensionMismatch(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
-    k = _index_by_rank(a)
-    mu = minimal_polynomial(a)
+    powers = _Powers(a)
+    k = _index_by_rank(powers)
+    mu = minimal_polynomial(a, powers)
     if mu.index != k:
         raise InternalInvariantViolation(f"rank index {k} != polynomial index {mu.index}")
-    return k, mu
+    return k, mu, powers
 
 
 def index_of(a: RMatrix) -> int:
@@ -193,10 +225,10 @@ def index_of(a: RMatrix) -> int:
 def group_inverse_poly(a: RMatrix) -> RMatrix:
     """The group inverse A*q(A)^2; requires index at most 1. q(A) itself is a
     {1}-inverse of A in that case."""
-    k, mu = _checked_index(a, "group inverse")
+    k, mu, powers = _checked_index(a, "group inverse")
     if k > 1:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {k}")
-    qa = poly_at(q_polynomial(mu).coeffs, a)
+    qa = powers.combine(q_polynomial(mu).coeffs)
     return mat_mul(a, mat_mul(qa, qa))
 
 
@@ -218,24 +250,32 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
     f = full_rank_reduce(a)
     gb = group_blocks(f)
     if mat_rank(gb.v4) < a.rows - f.r:
-        raise IndexTooLarge(f"group inverse requires index <= 1, got {_index_by_rank(a)}")
+        raise IndexTooLarge(f"group inverse requires index <= 1, got {_index_by_rank(_Powers(a))}")
     v4i = mat_inverse(gb.v4)
     return g12_inverse(f, -mat_mul(gb.v2, v4i), -mat_mul(v4i, gb.v3))
+
+
+def _drazin(k: int, mu: MinimalPolynomial, powers: _Powers) -> RMatrix:
+    """A^k * q(A)^(k+1), with A^k read from the chain and q(A)^(k+1) formed
+    by k products; q(A) itself at k = 0."""
+    qa = powers.combine(q_polynomial(mu).coeffs)
+    if k == 0:
+        return qa
+    return mat_mul(powers[k], mat_pow(qa, k + 1))
 
 
 def drazin_inverse(a: RMatrix) -> RMatrix:
     """The Drazin inverse A^k * q(A)^(k+1) at k = index of A; zero for
     nilpotent input, the group inverse when the index is at most 1."""
-    k, mu = _checked_index(a, "Drazin inverse")
-    qa = poly_at(q_polynomial(mu).coeffs, a)
-    return mat_mul(mat_pow(a, k), mat_pow(qa, k + 1))
+    return _drazin(*_checked_index(a, "Drazin inverse"))
 
 
 def drazin_onecheck(a: RMatrix) -> bool:
     """Whether A*A^D*A = A; this holds exactly when the index is at most 1,
     and the equivalence is enforced."""
-    holds = mat_mul(mat_mul(a, drazin_inverse(a)), a) == a
-    if holds != (index_of(a) <= 1):
+    k, mu, powers = _checked_index(a, "Drazin inverse")
+    holds = mat_mul(mat_mul(a, _drazin(k, mu, powers)), a) == a
+    if holds != (k <= 1):
         raise InternalInvariantViolation("A*A^D*A = A disagrees with index <= 1")
     return holds
 

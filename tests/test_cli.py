@@ -273,6 +273,19 @@ class TestIntTextLimit:
         got = capsys.readouterr()
         assert got.out == "" and got.err.startswith(f"geninv: parse error: {path}:2:3: ")
 
+    def test_input_entry_over_limit_names_the_limit(self, tmp_path, capsys):
+        # the message states the limit; Python's advice to raise it is not passed on
+        limit = sys.get_int_max_str_digits()
+        assert parse_matrix_text(f"1 1\n{'9' * limit}\n")[0, 0] == int("9" * limit)
+        path = tmp_path / "big.rmat"
+        for entry in ("1" * (limit + 1), f"-1/{'3' * (limit + 1)}", "0" * (limit + 1)):
+            path.write_text(f"1 2\n1 {entry}\n")
+            assert run(["pinv", str(path)]) == 2
+            got = capsys.readouterr()
+            assert got.out == ""
+            assert got.err == (f"geninv: parse error: {path}:2:3: "
+                               f"entry has more than {limit} digits\n")
+
     def test_output_entry_over_limit_is_size_error(self, tmp_path, capsys):
         # every entry fits, but a*a, which the results hold, does not
         a = "7" * (sys.get_int_max_str_digits() * 7 // 10)

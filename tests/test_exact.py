@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import support
 from geninv import (DimensionMismatch, IndexOutOfRange, RMatrix,
-                    SingularMatrix, block_compose, block_extract,
+                    SingularMatrix, block_compose, block_extract, exact,
                     format_rational, identity, mat_add, mat_inverse, mat_mul,
-                    mat_rank, mat_transpose, parse_rational, partial_identity,
-                    zeros)
+                    mat_pow, mat_rank, mat_transpose, parse_rational,
+                    partial_identity, zeros)
 from support import rand_invertible, rationals, rmatrices
 
 
@@ -104,6 +104,27 @@ class TestInverse:
         a = rand_invertible(random.Random(seed), n)
         assert mat_mul(mat_inverse(a), a) == identity(n)
         assert mat_mul(a, mat_inverse(a)) == identity(n)
+
+
+class TestPower:
+    @pytest.mark.parametrize("a", [support.EX1, support.NILPOTENT_2, zeros(2, 2),
+                                   RMatrix.from_rows([["1/2", -3], [2, "5/3"]])])
+    def test_repeated_products_without_identity(self, a, monkeypatch):
+        products = []
+        real_mul = exact.mat_mul
+        monkeypatch.setattr(exact, "mat_mul", lambda x, y: products.append(y) or real_mul(x, y))
+        expected = identity(a.rows)
+        for k in range(5):
+            products.clear()
+            assert mat_pow(a, k) == expected
+            assert len(products) == max(k - 1, 0)
+            expected = real_mul(expected, a)
+
+    def test_rejects_negative_and_non_square(self):
+        with pytest.raises(ValueError):
+            mat_pow(identity(2), -1)
+        with pytest.raises(DimensionMismatch):
+            mat_pow(zeros(2, 3), 2)
 
 
 class TestRank:

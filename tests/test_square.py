@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge, RMatrix,
-                    factor_with, full_rank_reduce,
-                    group_blocks, drazin_inverse, drazin_onecheck,
-                    group_inverse_block, group_inverse_poly, identity,
-                    index_of, is_ep, mat_inverse, mat_mul, mat_pow, mat_rank,
-                    minimal_polynomial, moore_penrose, poly_at, poly_str,
-                    q_polynomial, zeros)
-from support import (NILPOTENT_2, rand_index_one_singular, rand_matrix,
-                     rand_nilpotent, rand_symmetric_singular, rand_with_index,
-                     rmatrices)
+from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge,
+                    InternalInvariantViolation, RMatrix, check, factor_with,
+                    full_rank_reduce, group_blocks, drazin_inverse,
+                    drazin_onecheck, group_inverse_block, group_inverse_poly,
+                    identity, index_of, is_ep, mat_add, mat_inverse, mat_mul,
+                    mat_pow, mat_rank, mat_scale, minimal_polynomial,
+                    moore_penrose, penrose, poly_at, poly_str, q_polynomial,
+                    square, zeros)
+from support import (NILPOTENT_2, rand_index_one_singular, rand_invertible,
+                     rand_matrix, rand_nilpotent, rand_symmetric_singular,
+                     rand_with_index, rmatrices)
 
 
 class TestMinimalPolynomial:
@@ -50,6 +51,28 @@ class TestMinimalPolynomial:
                    for d in range(mu.degree)]
         stacked = RMatrix.from_rows(vectors)
         assert mat_rank(stacked) == mu.degree
+
+
+class TestPolyAt:
+    @pytest.mark.parametrize("coeffs", [
+        (Fraction(0),),
+        (Fraction(-7, 2),),
+        (Fraction(3), Fraction(0), Fraction(-1, 3), Fraction(2)),
+        (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
+    ])
+    def test_sum_of_powers_with_one_product_per_degree(self, coeffs, monkeypatch):
+        rng = random.Random(41)
+        products = []
+        real_mul = square.mat_mul
+        monkeypatch.setattr(square, "mat_mul", lambda x, y: products.append(y) or real_mul(x, y))
+        for a in (support.EX1, NILPOTENT_2, zeros(3, 3), rand_matrix(rng, 4, 4)):
+            expected, power = zeros(a.rows, a.rows), identity(a.rows)
+            for c in coeffs:
+                expected = mat_add(expected, mat_scale(power, c))
+                power = real_mul(power, a)
+            products.clear()
+            assert poly_at(coeffs, a) == expected
+            assert len(products) == len(coeffs) - 1
 
 
 class TestQPolynomial:
@@ -217,6 +240,50 @@ class TestDrazin:
     @given(rmatrices(square=True, max_dim=4))
     def test_onecheck_matches_index(self, a):
         assert drazin_onecheck(a) == (index_of(a) <= 1)
+
+
+class TestDrazinRoutes:
+    """The shared power chain against the paper's formula A^k * q(A)^(k+1),
+    evaluated with the public functions."""
+
+    def cases(self):
+        rng = random.Random(27)
+        mats = [rand_with_index(rng, k, m) for k in range(4) for m in (1, 2)]
+        mats += [rand_nilpotent(rng, n) for n in (1, 2, 3, 4)] + [support.nilpotent_jordan(3)]
+        mats += [rand_invertible(rng, n) for n in (1, 2, 4)] + [identity(3)]
+        return mats + [support.EX1, support.EX3]
+
+    def test_equals_paper_formula(self):
+        for a in self.cases():
+            k = index_of(a)
+            qa = poly_at(q_polynomial(minimal_polynomial(a)).coeffs, a)
+            assert drazin_inverse(a) == mat_mul(mat_pow(a, k), mat_pow(qa, k + 1))
+
+    def test_each_power_formed_once(self, monkeypatch):
+        # only the chain multiplies by A itself: up to A^max(deg mu, k+1)
+        chain_products = []
+        real_mul = square.mat_mul
+        monkeypatch.setattr(square, "mat_mul",
+                            lambda x, y: chain_products.append(y) or real_mul(x, y))
+        pows = []
+        monkeypatch.setattr(penrose, "mat_pow", lambda *args: pows.append(args))
+        for a in self.cases():
+            k, mu = index_of(a), minimal_polynomial(a)
+            for run in (drazin_inverse, lambda a: check(a, zeros(a.rows, a.rows))):
+                chain_products.clear()
+                run(a)
+                assert sum(y is a for y in chain_products) == max(mu.degree, k + 1) - 1
+        assert pows == []
+
+    @pytest.mark.parametrize("run", [index_of, drazin_inverse, drazin_onecheck,
+                                     group_inverse_poly,
+                                     lambda a: check(a, zeros(a.rows, a.rows))])
+    def test_shared_chain_keeps_the_index_cross_check(self, run, monkeypatch):
+        real = square._index_by_rank
+        monkeypatch.setattr(square, "_index_by_rank", lambda *args: real(*args) + 1)
+        for a in (support.EX1, NILPOTENT_2, identity(2)):
+            with pytest.raises(InternalInvariantViolation, match="rank index"):
+                run(a)
 
 
 class TestEP:

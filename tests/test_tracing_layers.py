@@ -1,12 +1,17 @@
 """perfbench's traced run wraps functions it looks up by name in each layer;
-a rename in geninv must fail here before it breaks that run."""
+a rename in geninv must fail here before it breaks that run. Its self-test
+also runs here, so a change that calls into a layer a workload must leave
+idle fails the test suite and not only the benchmark."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_function_exists(monkeypatch):
@@ -18,3 +23,11 @@ def test_every_traced_function_exists(monkeypatch):
                for name in names
                if not callable(getattr(importlib.import_module(f"geninv.{layer}"), name, None))]
     assert tracing.FUNCTIONS and missing == []
+
+
+def test_benchmark_selftest_passes():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: ok"
