@@ -29,6 +29,7 @@ from .square import (drazin_inverse, group_inverse_block, group_inverse_poly,
 PROG = "geninv"
 
 _TOKEN_RE = re.compile(r"\S+")
+_COUNT_RE = re.compile(r"[0-9]+\Z")  # ASCII only, as in entries: str.isdigit() takes "²"
 
 
 def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
@@ -42,11 +43,16 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
         if not stripped or stripped.startswith("#"):
             continue
         if header is None:
-            parts = stripped.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            counts = list(_TOKEN_RE.finditer(raw))
+            if len(counts) != 2 or not all(_COUNT_RE.match(c.group()) for c in counts):
                 raise ParseError("header must be two counts: m n",
                                  filename=filename, line=lineno, column=1)
-            m, n = int(parts[0]), int(parts[1])
+            limit = sys.get_int_max_str_digits()
+            for c in counts:
+                if limit and len(c.group()) > limit:
+                    raise ParseError(f"count has more than {limit} digits", filename=filename,
+                                     line=lineno, column=c.start() + 1)
+            m, n = (int(c.group()) for c in counts)
             if m < 1 or n < 1:
                 raise ParseError("matrix dimensions must be at least 1",
                                  filename=filename, line=lineno, column=1)

@@ -5,6 +5,12 @@ arbitrary precision, always in lowest terms with a positive denominator,
 and with structural equality. Matrices are immutable grids of rationals,
 so every operation returns a fresh value and the whole module is safe to
 use from several threads at once.
+
+Products are formed on integers: each row of the left factor and each
+column of the right one is put over the lcm of its denominators, every
+entry is one integer dot product of the scaled numerators, and the only
+normalisation (one gcd) happens when that sum over the two common
+denominators becomes the entry's ``Fraction``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
@@ -176,10 +184,17 @@ def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.cols == 0:  # an empty sum per entry
         return zeros(a.rows, b.cols)
-    bcols = tuple(zip(*b.entries))
+    rows = [_over_common_denominator(row) for row in a.entries]
+    cols = [_over_common_denominator(col) for col in zip(*b.entries)]
     return RMatrix(a.rows, b.cols,
-                   tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bcols)
-                         for row in a.entries))
+                   tuple(tuple(Fraction(sum(map(mul, ra, cb)), da * db) for cb, db in cols)
+                         for ra, da in rows))
+
+
+def _over_common_denominator(v) -> tuple[list[int], int]:
+    """Integers n and d with v[i] == n[i] / d, d the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def mat_transpose(a: RMatrix) -> RMatrix:

@@ -25,8 +25,6 @@ from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_rank, mat_scale, mat_transpose, zeros)
 from .factorize import DEFAULT_POLICY, FactoredMatrix, PivotPolicy, full_rank_reduce
 
-FreeBlock = Optional[RMatrix]
-
 
 @dataclass(frozen=True)
 class StarBlocksQ:
@@ -90,7 +88,7 @@ def compute_star_blocks(f: FactoredMatrix) -> tuple[StarBlocksQ, StarBlocksP]:
     return _star_q(f), _star_p(f)
 
 
-def _resolve_free(block: FreeBlock, rows: int, cols: int, name: str) -> RMatrix:
+def _resolve_free(block: Optional[RMatrix], rows: int, cols: int, name: str) -> RMatrix:
     """Return the given free block, or the zero default when it is omitted."""
     if block is None:
         return zeros(rows, cols)
@@ -138,8 +136,8 @@ def _star_x2(sp: StarBlocksP) -> RMatrix:
     return mat_scale(mat_mul(mat_inverse(sp.t4), sp.t3), -1)
 
 
-def g1_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None,
-               x3: FreeBlock = None) -> RMatrix:
+def g1_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None, x2: Optional[RMatrix] = None,
+               x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1}-inverse: A*X*A = A. All three off-core blocks are free."""
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
@@ -147,8 +145,8 @@ def g1_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None,
     return _assemble(f, identity(f.r), x1, x2, x3)
 
 
-def g2_inverse(f: FactoredMatrix, x0: FreeBlock = None, fblk: FreeBlock = None,
-               gblk: FreeBlock = None) -> RMatrix:
+def g2_inverse(f: FactoredMatrix, x0: Optional[RMatrix] = None,
+               fblk: Optional[RMatrix] = None, gblk: Optional[RMatrix] = None) -> RMatrix:
     """A {2}-inverse: X*A*X = X, built from an idempotent core x0 and shape
     factors fblk, gblk via X1 = x0*fblk, X2 = gblk*x0, X3 = X2*X1, that is
     X = P*[I; gblk] * x0 * [I, fblk]*Q."""
@@ -173,7 +171,8 @@ def validate_g2_blocks(f: FactoredMatrix, b: BlockParams) -> bool:
     return cond
 
 
-def g12_inverse(f: FactoredMatrix, x1: FreeBlock = None, x2: FreeBlock = None) -> RMatrix:
+def g12_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
+                x2: Optional[RMatrix] = None) -> RMatrix:
     """A {1,2}-inverse of rank r: A*X*A = A and X*A*X = X; X3 is forced to X2*X1,
     so X = P*[I; x2] * [I, x1]*Q."""
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
@@ -198,12 +197,13 @@ def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bo
     return cond
 
 
-def g13_inverse(f: FactoredMatrix, x2: FreeBlock = None, x3: FreeBlock = None) -> RMatrix:
+def g13_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None,
+                x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free."""
     return g1_inverse(f, _star_x1(_star_q(f)), x2, x3)
 
 
-def g123_inverse(f: FactoredMatrix, x2: FreeBlock = None) -> RMatrix:
+def g123_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None) -> RMatrix:
     """A {1,2,3}-inverse: X3 is forced to X2 * (-S2*S4^-1)."""
     return g12_inverse(f, _star_x1(_star_q(f)), x2)
 
@@ -224,17 +224,18 @@ def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bo
     return cond
 
 
-def g14_inverse(f: FactoredMatrix, x1: FreeBlock = None, x3: FreeBlock = None) -> RMatrix:
+def g14_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
+                x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free."""
     return g1_inverse(f, x1, _star_x2(_star_p(f)), x3)
 
 
-def g124_inverse(f: FactoredMatrix, x1: FreeBlock = None) -> RMatrix:
+def g124_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None) -> RMatrix:
     """A {1,2,4}-inverse: X3 is forced to (-T4^-1*T3) * X1."""
     return g12_inverse(f, x1, _star_x2(_star_p(f)))
 
 
-def g134_inverse(f: FactoredMatrix, x3: FreeBlock = None) -> RMatrix:
+def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1,3,4}-inverse: both forced blocks, X3 free."""
     sq, sp = compute_star_blocks(f)
     return g1_inverse(f, _star_x1(sq), _star_x2(sp), x3)

@@ -208,6 +208,15 @@ class TestExitCodes:
         assert err.startswith(f"geninv: parse error: {bad}:3:3: ")
         assert "0xff" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("header", ["1 \u00b2", "\u0661 1"])
+    def test_header_counts_are_ascii_digits(self, tmp_path, capsys, header):
+        # str.isdigit() accepts both; int() rejects the superscript two
+        path = tmp_path / "h.rmat"
+        path.write_text(f"{header}\n1\n", encoding="utf-8")
+        assert run(["pinv", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geninv: parse error: {path}:1:1: header must be two counts: m n\n")
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert run(["pinv", str(tmp_path / "absent.rmat")]) == 2
 
@@ -285,6 +294,15 @@ class TestIntTextLimit:
             assert got.out == ""
             assert got.err == (f"geninv: parse error: {path}:2:3: "
                                f"entry has more than {limit} digits\n")
+
+    def test_header_count_over_limit_names_the_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert parse_matrix_text(f"{'0' * (limit - 1)}1 1\n5\n").shape == (1, 1)
+        path = tmp_path / "big.rmat"
+        path.write_text(f"1  {'1' * (limit + 1)}\n1\n")
+        assert run(["pinv", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geninv: parse error: {path}:1:4: count has more than {limit} digits\n")
 
     def test_output_entry_over_limit_is_size_error(self, tmp_path, capsys):
         # every entry fits, but a*a, which the results hold, does not

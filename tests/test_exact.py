@@ -1,7 +1,8 @@
 """Exact scalar/matrix core: arithmetic, rank, inverse, block split/compose."""
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -236,6 +237,65 @@ class TestZeroSize:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             RMatrix(-1, 0, ())
+
+
+# integers of 1 to 400 bits, either sign or zero, and positive denominators
+WIDE_INTS = st.integers(1, 400).flatmap(lambda b: st.integers(1 - (1 << b), (1 << b) - 1))
+DENOMINATORS = st.integers(1, 400).flatmap(lambda b: st.integers(1, (1 << b) - 1))
+WIDE_FRACTIONS = st.one_of(st.just(Fraction(0)), st.builds(Fraction, WIDE_INTS, DENOMINATORS))
+
+
+@st.composite
+def product_operands(draw):
+    """A (m x k) and B (k x n), every side 0..5, with wide entries, sometimes an
+    A row over one shared denominator, an all-zero A row or an all-zero B column."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [[draw(WIDE_FRACTIONS) for _ in range(k)] for _ in range(m)]
+    b = [[draw(WIDE_FRACTIONS) for _ in range(n)] for _ in range(k)]
+    if m and draw(st.booleans()):
+        d = draw(DENOMINATORS)
+        a[draw(st.integers(0, m - 1))] = [Fraction(draw(WIDE_INTS), d) for _ in range(k)]
+    if m and draw(st.booleans()):
+        a[draw(st.integers(0, m - 1))] = [Fraction(0)] * k
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in b:
+            row[j] = Fraction(0)
+    return RMatrix(m, k, tuple(map(tuple, a))), RMatrix(k, n, tuple(map(tuple, b)))
+
+
+def assert_textbook_product(product, a, b):
+    """product(a, b) has entries sum_t a[i, t] * b[t, j], each a canonical Fraction."""
+    want = tuple(tuple(sum((a[i, t] * b[t, j] for t in range(a.cols)), Fraction(0))
+                       for j in range(b.cols)) for i in range(a.rows))
+    got = product(a, b)
+    assert got.shape == (a.rows, b.cols)
+    assert got.entries == want
+    for v in chain.from_iterable(got.entries):
+        assert type(v) is Fraction
+        assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+class TestTextbookProduct:
+    @given(product_operands())
+    def test_mul_equals_definition(self, operands):
+        assert_textbook_product(mat_mul, *operands)
+
+    def test_definition_catches_a_misscaled_product(self):
+        # over the lcm of the denominators, but numerators left unscaled
+        def misscaled(a, b):
+            def over_lcm(v):
+                return [x.numerator for x in v], lcm(*(x.denominator for x in v))
+            cols = [over_lcm(col) for col in zip(*b.entries)]
+            return RMatrix(a.rows, b.cols, tuple(
+                tuple(Fraction(sum(x * y for x, y in zip(ra, cb)), da * db) for cb, db in cols)
+                for ra, da in map(over_lcm, a.entries)))
+
+        a = RMatrix.from_rows([["1/2", "1/3"]])
+        b = RMatrix.from_rows([[1], [1]])
+        assert_textbook_product(mat_mul, a, b)
+        with pytest.raises(AssertionError):
+            assert_textbook_product(misscaled, a, b)
 
 
 class TestExactness:

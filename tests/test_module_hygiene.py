@@ -1,0 +1,53 @@
+"""The library as a set of modules: its runtime stays stdlib-only, and a
+re-import leaves no earlier copy of it alive."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import geninv
+
+SRC = Path(geninv.__file__).parent
+
+
+def imported_top_level_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "geninv" if node.level else node.module.partition(".")[0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) >= 8
+    foreign = {f"{path.name}: {name}" for path in sources
+               for name in imported_top_level_modules(path)
+               if name != "geninv" and name not in sys.stdlib_module_names}
+    assert foreign == set()
+
+
+REIMPORT = """
+import gc, sys
+for _ in range(10):
+    for name in [n for n in sys.modules if n == "geninv" or n.startswith("geninv.")]:
+        del sys.modules[name]
+    import geninv
+    gc.collect()
+print(sum(1 for o in gc.get_objects()
+          if isinstance(o, type) and o.__module__ == "geninv.exact" and o.__name__ == "RMatrix"))
+"""
+
+
+def test_reimport_frees_the_previous_copy():
+    # A module-level typing construct such as Optional[RMatrix] is cached by
+    # typing and keeps its RMatrix, and through it a whole copy of the library,
+    # alive for good; a process that re-imports the library then grows.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1
