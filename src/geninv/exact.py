@@ -11,6 +11,11 @@ column of the right one is put over the lcm of its denominators, every
 entry is one integer dot product of the scaled numerators, and the only
 normalisation (one gcd) happens when that sum over the two common
 denominators becomes the entry's ``Fraction``.
+
+Rank, inverse and the full-rank reduction share one elimination,
+``_echelon``, on rows of integer numerators over one denominator. Its only
+arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel
+the row's common factor; a ``Fraction`` is made only for a returned result.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -99,9 +104,6 @@ class RMatrix:
     @property
     def T(self) -> "RMatrix":
         return mat_transpose(self)
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self.entries[i]
 
     def __getitem__(self, key: tuple[int, int]) -> Rational:
         i, j = key
@@ -217,48 +219,76 @@ def mat_pow(a: RMatrix, k: int) -> RMatrix:
 
 
 def mat_inverse(a: RMatrix) -> RMatrix:
-    """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
+    """Exact inverse: forward elimination of [A | I], then back-substitution."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices are invertible, got {a.rows}x{a.cols}")
     n = a.rows
-    aug = [list(row) + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(a.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise SingularMatrix(f"matrix of size {n} has rank below {n}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        prow = aug[col]
-        for i in range(n):
-            f = aug[i][col]
-            if f and i != col:
-                aug[i] = [v - f * w for v, w in zip(aug[i], prow)]
-    return RMatrix(n, n, tuple(tuple(r[n:]) for r in aug))
+    return RMatrix(n, n, tuple(_solve([row + _unit(i, n) for i, row in enumerate(a.entries)])))
 
 
 def mat_rank(a: RMatrix) -> int:
     """Exact rank by forward elimination."""
-    grid = [list(row) for row in a.entries]
-    m, n = a.rows, a.cols
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if grid[i][col]), None)
-        if piv is None:
-            continue
-        grid[rank], grid[piv] = grid[piv], grid[rank]
-        prow = grid[rank]
-        pv = prow[col]
-        for i in range(rank + 1, m):
-            f = grid[i][col]
-            if f:
-                ratio = f / pv
-                grid[i] = [v - ratio * w for v, w in zip(grid[i], prow)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return _echelon(a.entries, a.cols)[0]
+
+
+def _unit(i: int, n: int, x: int = 1) -> tuple[int, ...]:
+    """Row i of x times the n x n identity."""
+    return (0,) * i + (x,) + (0,) * (n - i - 1)
+
+
+def _eliminate(row, prow, c: int):
+    """row - (row[c]/prow[c]) * prow on (numerators, denominator) rows, common factor cancelled."""
+    (nums, den), pnums = row, prow[0]
+    p, f = pnums[c], nums[c]
+    nums = [p * x - f * y for x, y in zip(nums, pnums)]
+    den *= p
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _echelon(rows, width: int, last: bool = False):
+    """Forward elimination of rows of rationals: (rank, echelon rows, cols).
+
+    Step t's pivot is the first nonzero entry, row-major, of rows t.. and
+    columns t..width-1 (the last one with ``last``); its row and column are
+    swapped into place t, and cols[t] is the input column now at t.
+    """
+    rows = [_over_common_denominator(row) for row in rows]
+    m, cols = len(rows), list(range(width))
+    step = -1 if last else 1
+    for t in range(min(m, width)):
+        found = next(((i, j) for i in range(t, m)[::step] for j in range(t, width)[::step]
+                      if rows[i][0][j]), None)
+        if found is None:
+            return t, rows, cols
+        i, j = found
+        rows[t], rows[i] = rows[i], rows[t]
+        if j != t:
+            cols[t], cols[j] = cols[j], cols[t]
+            for nums, _ in rows:
+                nums[t], nums[j] = nums[j], nums[t]
+        for i in range(t + 1, m):
+            if rows[i][0][t]:
+                rows[i] = _eliminate(rows[i], rows[t], t)
+    return min(m, width), rows, cols
+
+
+def _solve(rows) -> list[tuple[Rational, ...]]:
+    """A^-1 * B as rows of ``Fraction``, from the rows of [A | B] with A n x n."""
+    n = len(rows)
+    rank, rows, cols = _echelon(rows, n)
+    if rank < n:
+        raise SingularMatrix(f"matrix of size {n} has rank below {n}")
+    for t in range(n - 1, 0, -1):
+        for s in range(t):
+            if rows[s][0][t]:
+                rows[s] = _eliminate(rows[s], rows[t], t)
+    out = [()] * n
+    for t, (nums, _) in enumerate(rows):  # row t of (A*Pi)^-1 * B is row cols[t] of A^-1 * B
+        out[cols[t]] = tuple(Fraction(x, nums[t]) for x in nums[n:])
+    return out
 
 
 def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix:

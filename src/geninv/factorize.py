@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .errors import InvalidFactorization
-from .exact import RMatrix, mat_mul, mat_rank, partial_identity
+from .exact import RMatrix, _echelon, _solve, _unit, mat_mul, mat_rank, partial_identity
 
 PivotPolicy = Literal["first", "last"]
 PIVOT_POLICIES: tuple[PivotPolicy, ...] = ("first", "last")
@@ -40,67 +40,29 @@ class FactoredMatrix:
         return self.a.cols
 
 
-def _find_pivot(grid, t: int, m: int, n: int, policy: PivotPolicy):
-    rows = range(t, m) if policy == "first" else range(m - 1, t - 1, -1)
-    cols = range(t, n) if policy == "first" else range(n - 1, t - 1, -1)
-    for i in rows:
-        row = grid[i]
-        for j in cols:
-            if row[j]:
-                return i, j
-    return None
-
-
 def full_rank_reduce(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> FactoredMatrix:
-    """Reduce A to E_r, accumulating row operations in Q and column operations in P.
+    """Reduce A to E_r by row operations (Q) and column operations (P).
 
-    The working matrix B starts as A and satisfies B = Q*A*P throughout:
-    each row operation is mirrored into Q, each column operation into P.
-    ``policy`` picks which nonzero entry of the remaining submatrix becomes
-    the next pivot ("first" and "last" in row-major scan order).
+    Q is the right half of the forward elimination of [A | I_m], each pivot
+    row divided by its pivot. With Pi the column swaps and U the echelon rows
+    so scaled, P = Pi * [[U1, U2], [0, I]]^-1, the column operations that
+    clear each pivot row. ``policy`` picks the next pivot among the nonzero
+    entries left: the "first" or the "last" in row-major order.
     """
     if policy not in PIVOT_POLICIES:
         raise ValueError(f"unknown pivot policy {policy!r}")
     m, n = a.rows, a.cols
-    b = [list(row) for row in a.entries]
-    q = [[Fraction(i == j) for j in range(m)] for i in range(m)]
-    p = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    t = 0
-    while t < min(m, n):
-        found = _find_pivot(b, t, m, n, policy)
-        if found is None:
-            break
-        pi, pj = found
-        if pi != t:
-            b[t], b[pi] = b[pi], b[t]
-            q[t], q[pi] = q[pi], q[t]
-        if pj != t:
-            for row in b:
-                row[t], row[pj] = row[pj], row[t]
-            for row in p:
-                row[t], row[pj] = row[pj], row[t]
-        inv_piv = 1 / b[t][t]
-        b[t] = [v * inv_piv for v in b[t]]
-        q[t] = [v * inv_piv for v in q[t]]
-        # clear the pivot column with row operations (mirrored into Q)
-        for i in range(m):
-            f = b[i][t]
-            if f and i != t:
-                b[i] = [v - f * w for v, w in zip(b[i], b[t])]
-                q[i] = [v - f * w for v, w in zip(q[i], q[t])]
-        # clear the rest of the pivot row with column operations (mirrored into P)
-        for j in range(t + 1, n):
-            f = b[t][j]
-            if f:
-                for row in b:
-                    row[j] -= f * row[t]
-                for row in p:
-                    row[j] -= f * row[t]
-        t += 1
-    return FactoredMatrix(a=a,
-                          p=RMatrix(n, n, tuple(tuple(row) for row in p)),
-                          q=RMatrix(m, m, tuple(tuple(row) for row in q)),
-                          r=t)
+    r, rows, cols = _echelon([row + _unit(i, m) for i, row in enumerate(a.entries)], n,
+                             last=policy == "last")
+    q = tuple(tuple(Fraction(x, nums[t] if t < r else den) for x in nums[n:])
+              for t, (nums, den) in enumerate(rows))
+    # row t < r of [[U1, U2], [0, I] | I] times its pivot: numerators, then pivot at t
+    u_inv = _solve([tuple(rows[t][0][:n]) + _unit(t, n, rows[t][0][t]) if t < r
+                    else _unit(t, n) + _unit(t, n) for t in range(n)])
+    p = [()] * n
+    for t, row in enumerate(u_inv):
+        p[cols[t]] = row
+    return FactoredMatrix(a=a, p=RMatrix(n, n, tuple(p)), q=RMatrix(m, m, q), r=r)
 
 
 def verify_factorization(f: FactoredMatrix) -> bool:

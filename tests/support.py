@@ -6,7 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from geninv import RMatrix, identity, mat_mul, mat_rank, mat_scale, mat_transpose
+from geninv import (RMatrix, SingularMatrix, identity, mat_mul, mat_rank, mat_scale,
+                    mat_transpose)
 
 # 3x3 rank-2 matrix used by the first two worked examples.
 EX1 = RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -136,6 +137,88 @@ def rand_idempotent(rng: random.Random, r: int) -> RMatrix:
         dot = mat_mul(mat_transpose(v), u)[0, 0]
         if dot:
             return mat_scale(mat_mul(u, mat_transpose(v)), Fraction(1, 1) / dot)
+
+
+# Reference eliminations: plain Fraction loops that share no code with the
+# library's integer elimination kernel.
+
+def ref_rank(a: RMatrix) -> int:
+    """Rank by forward elimination, column by column."""
+    grid = [list(row) for row in a.entries]
+    m, n = a.rows, a.cols
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if grid[i][col]), None)
+        if piv is None:
+            continue
+        grid[rank], grid[piv] = grid[piv], grid[rank]
+        prow = grid[rank]
+        pv = prow[col]
+        for i in range(rank + 1, m):
+            f = grid[i][col]
+            if f:
+                ratio = f / pv
+                grid[i] = [v - ratio * w for v, w in zip(grid[i], prow)]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def ref_inverse(a: RMatrix) -> RMatrix:
+    """Inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
+    n = a.rows
+    aug = [list(row) + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(a.entries)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise SingularMatrix(f"matrix of size {n} has rank below {n}")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [v * inv_p for v in aug[col]]
+        prow = aug[col]
+        for i in range(n):
+            f = aug[i][col]
+            if f and i != col:
+                aug[i] = [v - f * w for v, w in zip(aug[i], prow)]
+    return RMatrix(n, n, tuple(tuple(r[n:]) for r in aug))
+
+
+def ref_full_rank_reduce(a: RMatrix, policy: str) -> tuple[RMatrix, RMatrix, int]:
+    """(P, Q, r) from row and column operations mirrored into Q and P."""
+    m, n = a.rows, a.cols
+    b = [list(row) for row in a.entries]
+    q = [[Fraction(i == j) for j in range(m)] for i in range(m)]
+    p = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    t = 0
+    while t < min(m, n):
+        rows = range(t, m) if policy == "first" else range(m - 1, t - 1, -1)
+        cols = range(t, n) if policy == "first" else range(n - 1, t - 1, -1)
+        found = next(((i, j) for i in rows for j in cols if b[i][j]), None)
+        if found is None:
+            break
+        pi, pj = found
+        b[t], b[pi] = b[pi], b[t]
+        q[t], q[pi] = q[pi], q[t]
+        for row in b + p:
+            row[t], row[pj] = row[pj], row[t]
+        inv_piv = 1 / b[t][t]
+        b[t] = [v * inv_piv for v in b[t]]
+        q[t] = [v * inv_piv for v in q[t]]
+        for i in range(m):
+            f = b[i][t]
+            if f and i != t:
+                b[i] = [v - f * w for v, w in zip(b[i], b[t])]
+                q[i] = [v - f * w for v, w in zip(q[i], q[t])]
+        for j in range(t + 1, n):
+            f = b[t][j]
+            if f:
+                for row in b + p:
+                    row[j] -= f * row[t]
+        t += 1
+    return (RMatrix(n, n, tuple(tuple(row) for row in p)),
+            RMatrix(m, m, tuple(tuple(row) for row in q)), t)
 
 
 # hypothesis strategies
