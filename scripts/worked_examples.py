@@ -24,9 +24,9 @@ def walk(name, a):
     show(f"P  (rank r = {f.r})", f.p)
     show("Q", f.q)
 
-    sq, sp = compute_star_blocks(f)
-    show("Q*Qt trailing block S4", sq.s4)
-    show("Pt*P trailing block T4", sp.t4)
+    (_, _, _, s4), (_, _, _, t4) = compute_star_blocks(f)
+    show("Q*Qt trailing block S4", s4)
+    show("Pt*P trailing block T4", t4)
 
     pinv = moore_penrose(a)
     show("Moore-Penrose inverse", pinv)
@@ -41,8 +41,8 @@ def walk(name, a):
         if index_of(a) <= 1:
             show("group inverse (polynomial route)", group_inverse_poly(a))
             show("group inverse (block route)", group_inverse_block(a))
-            v = group_blocks(f)
-            show("Q*P trailing block V4", v.v4)
+            _, _, _, v4 = group_blocks(f)
+            show("Q*P trailing block V4", v4)
         show("Drazin inverse", drazin_inverse(a))
 
     rep = check(a, pinv)

@@ -18,25 +18,24 @@ from .factorize import (DEFAULT_POLICY, PIVOT_POLICIES, FactoredMatrix,
                         PivotPolicy, factor_with, full_rank_reduce,
                         verify_factorization)
 from .penrose import PenroseReport, check, classify
-from .rect import (BlockParams, StarBlocksP, StarBlocksQ, compute_star_blocks,
-                   g1_inverse, g12_inverse, g123_inverse, g124_inverse,
-                   g13_inverse, g134_inverse, g14_inverse, g2_inverse,
-                   moore_penrose, validate_g2_blocks, validate_g3_blocks,
-                   validate_g4_blocks)
-from .square import (GroupBlocks, MinimalPolynomial, QPolynomial,
-                     drazin_inverse, drazin_onecheck, group_blocks,
+from .rect import (compute_star_blocks, g1_inverse, g12_inverse, g123_inverse,
+                   g124_inverse, g13_inverse, g134_inverse, g14_inverse,
+                   g2_inverse, moore_penrose, validate_g2_blocks,
+                   validate_g3_blocks, validate_g4_blocks)
+from .square import (MinimalPolynomial, QPolynomial, drazin_inverse,
+                     drazin_onecheck, group_blocks,
                      group_inverse_block, group_inverse_poly, index_of, is_ep,
                      minimal_polynomial, poly_at, poly_str, q_polynomial)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockParams", "DEFAULT_POLICY", "DimensionMismatch", "FactoredMatrix",
-    "GenInvError", "GroupBlocks", "IndexOutOfRange", "IndexTooLarge",
-    "InternalInvariantViolation", "InvalidFactorization", "MinimalPolynomial",
-    "NotIdempotent", "PIVOT_POLICIES", "ParseError", "PenroseReport",
-    "PivotPolicy", "QPolynomial", "RMatrix", "Rational", "SingularMatrix",
-    "StarBlocksP", "StarBlocksQ", "block_compose", "block_extract", "check",
+    "DEFAULT_POLICY", "DimensionMismatch", "FactoredMatrix", "GenInvError",
+    "IndexOutOfRange", "IndexTooLarge", "InternalInvariantViolation",
+    "InvalidFactorization", "MinimalPolynomial", "NotIdempotent",
+    "PIVOT_POLICIES", "ParseError", "PenroseReport", "PivotPolicy",
+    "QPolynomial", "RMatrix", "Rational", "SingularMatrix",
+    "block_compose", "block_extract", "check",
     "classify", "compute_star_blocks", "drazin_inverse", "drazin_onecheck",
     "factor_with", "format_rational", "full_rank_reduce", "g1_inverse",
     "g12_inverse", "g123_inverse", "g124_inverse", "g13_inverse",

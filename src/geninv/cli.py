@@ -139,8 +139,7 @@ def _out(mat: RMatrix, args) -> str:
 
 def _cmd_factor(args) -> str:
     f = full_rank_reduce(_load(args.matrix))
-    render = pretty_matrix if args.pretty else write_matrix
-    return f"# P\n{_text(render, f.p)}# Q\n{_text(render, f.q)}# r\n{f.r}\n"
+    return f"# P\n{_out(f.p, args)}# Q\n{_out(f.q, args)}# r\n{f.r}\n"
 
 
 def _cmd_pinv(args) -> str:

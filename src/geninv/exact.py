@@ -101,10 +101,6 @@ class RMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
-    def T(self) -> "RMatrix":
-        return mat_transpose(self)
-
     def __getitem__(self, key: tuple[int, int]) -> Rational:
         i, j = key
         return self.entries[i][j]

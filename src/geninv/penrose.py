@@ -47,7 +47,9 @@ class PenroseReport:
     classes: tuple[str, ...]
 
 
-def _labels(flags: dict) -> tuple[str, ...]:
+def _labels(eq1, eq2, eq3, eq4, eq5, eq6) -> tuple[str, ...]:
+    """Class labels of the satisfied equations; eq5/eq6 = None counts as unsatisfied."""
+    flags = {"eq1": eq1, "eq2": eq2, "eq3": eq3, "eq4": eq4, "eq5": eq5, "eq6": eq6}
     return tuple(label for label, needs in _CLASS_TABLE
                  if all(flags[name] for name in needs))
 
@@ -78,13 +80,9 @@ def check(a: RMatrix, x: RMatrix, *, index: Optional[int] = None) -> PenroseRepo
         eq6: Optional[bool] = mat_mul(ak, xa) == ak
     else:
         eq5 = eq6 = None
-    flags = {"eq1": eq1, "eq2": eq2, "eq3": eq3, "eq4": eq4,
-             "eq5": bool(eq5), "eq6": bool(eq6)}
-    return PenroseReport(eq1, eq2, eq3, eq4, eq5, eq6, _labels(flags))
+    return PenroseReport(eq1, eq2, eq3, eq4, eq5, eq6, _labels(eq1, eq2, eq3, eq4, eq5, eq6))
 
 
 def classify(report: PenroseReport) -> list[str]:
     """Class labels implied by the report's booleans (not-applicable counts as unsatisfied)."""
-    flags = {"eq1": report.eq1, "eq2": report.eq2, "eq3": report.eq3,
-             "eq4": report.eq4, "eq5": bool(report.eq5), "eq6": bool(report.eq6)}
-    return list(_labels(flags))
+    return list(_labels(report.eq1, report.eq2, report.eq3, report.eq4, report.eq5, report.eq6))

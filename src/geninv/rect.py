@@ -9,6 +9,11 @@ X = (P*[I; X2]) * X0 * ([I, X1]*Q) without a middle matrix (``g2_inverse``,
 ``g12_inverse``); ``g1_inverse`` assembles the middle matrix, its X3 being
 free. Every other constructor computes its forced blocks and calls one of these.
 
+A split is always ``block_extract``'s 4-tuple (b0, b1, b2, b3), standing for
+[[b0, b1], [b2, b3]]: the Gram splits (s1, s2, s3, s4) and (t1, t2, t3, t4)
+from ``compute_star_blocks``, and the blocks (x0, x1, x2, x3) the validators
+take, which are ``block_extract(P^-1*X*Q^-1, r)`` for a candidate X.
+
 The {3}- and {4}-classes need the Gram matrices Q*Qt and Pt*P: their trailing
 blocks S4, T4 are always regular, and the canonical choices -S2*S4^-1 and
 -T4^-1*T3 make A*X respectively X*A symmetric. A constructor pinned on one
@@ -17,7 +22,6 @@ side only ({1,3}, {1,2,3}, {1,4}, {1,2,4}) forms only that side's Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionMismatch, InternalInvariantViolation, NotIdempotent
@@ -26,38 +30,9 @@ from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
 from .factorize import DEFAULT_POLICY, FactoredMatrix, PivotPolicy, full_rank_reduce
 
 
-@dataclass(frozen=True)
-class StarBlocksQ:
-    """Blocks of Q*Qt split at r: [[s1, s2], [s3, s4]], s3 = s2t, s4 regular."""
-
-    s1: RMatrix
-    s2: RMatrix
-    s3: RMatrix
-    s4: RMatrix
-
-
-@dataclass(frozen=True)
-class StarBlocksP:
-    """Blocks of Pt*P split at r: [[t1, t2], [t3, t4]], t3 = t2t, t4 regular."""
-
-    t1: RMatrix
-    t2: RMatrix
-    t3: RMatrix
-    t4: RMatrix
-
-
-@dataclass(frozen=True)
-class BlockParams:
-    """Middle-factor blocks of a candidate inverse, split at r."""
-
-    x0: RMatrix
-    x1: RMatrix
-    x2: RMatrix
-    x3: RMatrix
-
-
-def _check_symmetric_split(b1: RMatrix, b2: RMatrix, b3: RMatrix, b4: RMatrix,
-                           what: str) -> None:
+def _gram_split(m: RMatrix, r: int, what: str) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
+    """Split the Gram matrix m*mt at r and verify its symmetry and regularity."""
+    b1, b2, b3, b4 = split = block_extract(mat_mul(m, mat_transpose(m)), r)
     # Gram matrices are symmetric with a regular trailing block; anything else is a bug.
     if mat_transpose(b1) != b1:
         raise InternalInvariantViolation(f"leading block of {what} is not symmetric")
@@ -67,25 +42,14 @@ def _check_symmetric_split(b1: RMatrix, b2: RMatrix, b3: RMatrix, b4: RMatrix,
         raise InternalInvariantViolation(f"trailing block of {what} is not symmetric")
     if mat_rank(b4) != b4.rows:
         raise InternalInvariantViolation(f"trailing block of {what} is singular")
+    return split
 
 
-def _star_q(f: FactoredMatrix) -> StarBlocksQ:
-    """Split Q*Qt at r and verify its symmetry and regularity."""
-    s1, s2, s3, s4 = block_extract(mat_mul(f.q, mat_transpose(f.q)), f.r)
-    _check_symmetric_split(s1, s2, s3, s4, "Q*Qt")
-    return StarBlocksQ(s1, s2, s3, s4)
-
-
-def _star_p(f: FactoredMatrix) -> StarBlocksP:
-    """Split Pt*P at r and verify its symmetry and regularity."""
-    t1, t2, t3, t4 = block_extract(mat_mul(mat_transpose(f.p), f.p), f.r)
-    _check_symmetric_split(t1, t2, t3, t4, "Pt*P")
-    return StarBlocksP(t1, t2, t3, t4)
-
-
-def compute_star_blocks(f: FactoredMatrix) -> tuple[StarBlocksQ, StarBlocksP]:
-    """Split Q*Qt and Pt*P at r and verify their symmetry and regularity."""
-    return _star_q(f), _star_p(f)
+def compute_star_blocks(f: FactoredMatrix) -> tuple[tuple[RMatrix, RMatrix, RMatrix, RMatrix],
+                                                     tuple[RMatrix, RMatrix, RMatrix, RMatrix]]:
+    """Split Q*Qt and Pt*P at r, as (s1, s2, s3, s4) and (t1, t2, t3, t4) in
+    ``block_extract``'s order, and verify their symmetry and regularity."""
+    return _gram_split(f.q, f.r, "Q*Qt"), _gram_split(mat_transpose(f.p), f.r, "Pt*P")
 
 
 def _resolve_free(block: Optional[RMatrix], rows: int, cols: int, name: str) -> RMatrix:
@@ -99,16 +63,11 @@ def _resolve_free(block: Optional[RMatrix], rows: int, cols: int, name: str) -> 
     raise DimensionMismatch(f"{name} must be {rows}x{cols}, got {block.rows}x{block.cols}")
 
 
-def _expect_param(block: RMatrix, rows: int, cols: int, name: str) -> None:
-    if block.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} must be a {rows}x{cols} matrix")
-
-
-def _check_params(f: FactoredMatrix, b: BlockParams) -> None:
-    _expect_param(b.x0, f.r, f.r, "x0")
-    _expect_param(b.x1, f.r, f.m - f.r, "x1")
-    _expect_param(b.x2, f.n - f.r, f.r, "x2")
-    _expect_param(b.x3, f.n - f.r, f.m - f.r, "x3")
+def _check_params(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> None:
+    shapes = ((f.r, f.r), (f.r, f.m - f.r), (f.n - f.r, f.r), (f.n - f.r, f.m - f.r))
+    for i, (block, (rows, cols)) in enumerate(zip(b, shapes)):
+        if block.shape != (rows, cols):
+            raise DimensionMismatch(f"x{i} must be a {rows}x{cols} matrix")
 
 
 def _assemble(f: FactoredMatrix, x0: RMatrix, x1: RMatrix, x2: RMatrix,
@@ -126,14 +85,16 @@ def _right(f: FactoredMatrix, x1: RMatrix) -> RMatrix:
     return mat_mul(block_compose(identity(f.r), x1, zeros(0, f.r), zeros(0, f.m - f.r)), f.q)
 
 
-def _star_x1(sq: StarBlocksQ) -> RMatrix:
+def _star_x1(sq: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> RMatrix:
     """-S2*S4^-1, the forced top-right block of the {3}-family."""
-    return mat_scale(mat_mul(sq.s2, mat_inverse(sq.s4)), -1)
+    _, s2, _, s4 = sq
+    return mat_scale(mat_mul(s2, mat_inverse(s4)), -1)
 
 
-def _star_x2(sp: StarBlocksP) -> RMatrix:
+def _star_x2(sp: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> RMatrix:
     """-T4^-1*T3, the forced bottom-left block of the {4}-family."""
-    return mat_scale(mat_mul(mat_inverse(sp.t4), sp.t3), -1)
+    _, _, t3, t4 = sp
+    return mat_scale(mat_mul(mat_inverse(t4), t3), -1)
 
 
 def g1_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None, x2: Optional[RMatrix] = None,
@@ -158,13 +119,15 @@ def g2_inverse(f: FactoredMatrix, x0: Optional[RMatrix] = None,
     return mat_mul(mat_mul(_left(f, gblk), x0), _right(f, fblk))
 
 
-def validate_g2_blocks(f: FactoredMatrix, b: BlockParams) -> bool:
-    """True iff the {2}-block conditions hold: x0 idempotent, x0*x1 = x1,
-    x2*x0 = x2 and x2*x1 = x3. Also confirmed against X*A*X = X directly."""
+def validate_g2_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
+    """True iff the {2}-block conditions hold for b = (x0, x1, x2, x3): x0
+    idempotent, x0*x1 = x1, x2*x0 = x2 and x2*x1 = x3. Also confirmed
+    against X*A*X = X directly."""
     _check_params(f, b)
-    cond = (mat_mul(b.x0, b.x0) == b.x0 and mat_mul(b.x0, b.x1) == b.x1
-            and mat_mul(b.x2, b.x0) == b.x2 and mat_mul(b.x2, b.x1) == b.x3)
-    x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
+    x0, x1, x2, x3 = b
+    cond = (mat_mul(x0, x0) == x0 and mat_mul(x0, x1) == x1
+            and mat_mul(x2, x0) == x2 and mat_mul(x2, x1) == x3)
+    x = _assemble(f, x0, x1, x2, x3)
     direct = mat_mul(mat_mul(x, f.a), x) == x
     if cond != direct:
         raise InternalInvariantViolation("{2}-block conditions disagree with X*A*X = X")
@@ -180,16 +143,20 @@ def g12_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
     return mat_mul(_left(f, x2), _right(f, x1))
 
 
-def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bool:
-    """True iff the {3}-block conditions hold: W*x0t = x0*W for the Schur-type
-    matrix W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1. Also confirmed
-    against symmetry of A*X directly."""
+def validate_g3_blocks(f: FactoredMatrix, sq: tuple[RMatrix, RMatrix, RMatrix, RMatrix],
+                       b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
+    """True iff the {3}-block conditions hold for b = (x0, x1, x2, x3) and the
+    Q*Qt split sq: W*x0t = x0*W for the Schur-type matrix
+    W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1. Also confirmed against
+    symmetry of A*X directly."""
     _check_params(f, b)
+    x0, x1, x2, x3 = b
+    s1, s2, _, _ = sq
     x1f = _star_x1(sq)
-    w = mat_add(sq.s1, mat_mul(x1f, mat_transpose(sq.s2)))
-    cond = (mat_mul(w, mat_transpose(b.x0)) == mat_mul(b.x0, w)
-            and b.x1 == mat_mul(b.x0, x1f))
-    x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
+    w = mat_add(s1, mat_mul(x1f, mat_transpose(s2)))
+    cond = (mat_mul(w, mat_transpose(x0)) == mat_mul(x0, w)
+            and x1 == mat_mul(x0, x1f))
+    x = _assemble(f, x0, x1, x2, x3)
     ax = mat_mul(f.a, x)
     direct = mat_transpose(ax) == ax
     if cond != direct:
@@ -200,23 +167,27 @@ def validate_g3_blocks(f: FactoredMatrix, sq: StarBlocksQ, b: BlockParams) -> bo
 def g13_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None,
                 x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free."""
-    return g1_inverse(f, _star_x1(_star_q(f)), x2, x3)
+    return g1_inverse(f, _star_x1(_gram_split(f.q, f.r, "Q*Qt")), x2, x3)
 
 
 def g123_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None) -> RMatrix:
     """A {1,2,3}-inverse: X3 is forced to X2 * (-S2*S4^-1)."""
-    return g12_inverse(f, _star_x1(_star_q(f)), x2)
+    return g12_inverse(f, _star_x1(_gram_split(f.q, f.r, "Q*Qt")), x2)
 
 
-def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bool:
-    """Mirror of the {3}-validator: x0t*W = W*x0 for W = T1 - T2*T4^-1*T2t and
-    x2 = -T4^-1*T3*x0, confirmed against symmetry of X*A directly."""
+def validate_g4_blocks(f: FactoredMatrix, sp: tuple[RMatrix, RMatrix, RMatrix, RMatrix],
+                       b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
+    """Mirror of the {3}-validator for the Pt*P split sp: x0t*W = W*x0 for
+    W = T1 - T2*T4^-1*T2t and x2 = -T4^-1*T3*x0, confirmed against symmetry
+    of X*A directly."""
     _check_params(f, b)
+    x0, x1, x2, x3 = b
+    t1, t2, _, _ = sp
     x2f = _star_x2(sp)
-    w = mat_add(sp.t1, mat_mul(sp.t2, x2f))
-    cond = (mat_mul(mat_transpose(b.x0), w) == mat_mul(w, b.x0)
-            and b.x2 == mat_mul(x2f, b.x0))
-    x = _assemble(f, b.x0, b.x1, b.x2, b.x3)
+    w = mat_add(t1, mat_mul(t2, x2f))
+    cond = (mat_mul(mat_transpose(x0), w) == mat_mul(w, x0)
+            and x2 == mat_mul(x2f, x0))
+    x = _assemble(f, x0, x1, x2, x3)
     xa = mat_mul(x, f.a)
     direct = mat_transpose(xa) == xa
     if cond != direct:
@@ -227,12 +198,12 @@ def validate_g4_blocks(f: FactoredMatrix, sp: StarBlocksP, b: BlockParams) -> bo
 def g14_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
                 x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free."""
-    return g1_inverse(f, x1, _star_x2(_star_p(f)), x3)
+    return g1_inverse(f, x1, _star_x2(_gram_split(mat_transpose(f.p), f.r, "Pt*P")), x3)
 
 
 def g124_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None) -> RMatrix:
     """A {1,2,4}-inverse: X3 is forced to (-T4^-1*T3) * X1."""
-    return g12_inverse(f, x1, _star_x2(_star_p(f)))
+    return g12_inverse(f, x1, _star_x2(_gram_split(mat_transpose(f.p), f.r, "Pt*P")))
 
 
 def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:

@@ -67,16 +67,6 @@ class QPolynomial:
         return poly_str(self.coeffs)
 
 
-@dataclass(frozen=True)
-class GroupBlocks:
-    """Blocks of Q*P split at r: [[v1, v2], [v3, v4]]."""
-
-    v1: RMatrix
-    v2: RMatrix
-    v3: RMatrix
-    v4: RMatrix
-
-
 def poly_str(coeffs) -> str:
     """Human-readable polynomial, highest degree first, e.g. ``x^3 - 15*x^2 - 18*x``."""
     terms = []
@@ -232,10 +222,9 @@ def group_inverse_poly(a: RMatrix) -> RMatrix:
     return mat_mul(a, mat_mul(qa, qa))
 
 
-def group_blocks(f: FactoredMatrix) -> GroupBlocks:
-    """Blocks of Q*P split at r."""
-    v1, v2, v3, v4 = block_extract(mat_mul(f.q, f.p), f.r)
-    return GroupBlocks(v1, v2, v3, v4)
+def group_blocks(f: FactoredMatrix) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
+    """Q*P split at r, as (v1, v2, v3, v4) = [[v1, v2], [v3, v4]]."""
+    return block_extract(mat_mul(f.q, f.p), f.r)
 
 
 def group_inverse_block(a: RMatrix) -> RMatrix:
@@ -248,11 +237,11 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
     if not a.is_square:
         raise DimensionMismatch(f"group inverse needs a square matrix, got {a.rows}x{a.cols}")
     f = full_rank_reduce(a)
-    gb = group_blocks(f)
-    if mat_rank(gb.v4) < a.rows - f.r:
+    _, v2, v3, v4 = group_blocks(f)
+    if mat_rank(v4) < a.rows - f.r:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {_index_by_rank(_Powers(a))}")
-    v4i = mat_inverse(gb.v4)
-    return g12_inverse(f, -mat_mul(gb.v2, v4i), -mat_mul(v4i, gb.v3))
+    v4i = mat_inverse(v4)
+    return g12_inverse(f, -mat_mul(v2, v4i), -mat_mul(v4i, v3))
 
 
 def _drazin(k: int, mu: MinimalPolynomial, powers: _Powers) -> RMatrix:

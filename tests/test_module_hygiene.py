@@ -2,6 +2,7 @@
 re-import leaves no earlier copy of it alive."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import geninv
 
 SRC = Path(geninv.__file__).parent
+EXPORTING_MODULES = ("errors", "exact", "factorize", "rect", "square", "penrose")
 
 
 def imported_top_level_modules(path):
@@ -51,3 +53,20 @@ def test_reimport_frees_the_previous_copy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 1
+
+
+def test_all_names_resolve_once():
+    assert len(geninv.__all__) == len(set(geninv.__all__))
+    assert [name for name in geninv.__all__ if not hasattr(geninv, name)] == []
+
+
+def test_public_definitions_are_exported():
+    # a public function or class defined in a library module is part of the API
+    missing = set()
+    for module_name in EXPORTING_MODULES:
+        module = getattr(geninv, module_name)
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__ and name not in geninv.__all__):
+                missing.add(f"{module_name}.{name}")
+    assert missing == set()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (PIVOT_POLICIES, BlockParams, DimensionMismatch,
+from geninv import (PIVOT_POLICIES, DimensionMismatch,
                     NotIdempotent, RMatrix, block_compose, block_extract,
                     compute_star_blocks, factor_with, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
@@ -42,34 +42,54 @@ def eq4_holds(a, x):
     return mat_transpose(xa) == xa
 
 
+def round_trip_factors(rng):
+    """Reductions of rank-deficient L*R products under each pivot policy; every
+    block slot of a split at r is non-empty."""
+    for m, n, r in ((3, 4, 2), (4, 3, 1), (3, 3, 2), (5, 4, 3), (4, 5, 2)):
+        a = mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n))
+        for policy in PIVOT_POLICIES:
+            f = full_rank_reduce(a, policy)
+            assert 0 < f.r < min(m, n)
+            yield f
+
+
+def middle_blocks(f, x):
+    """block_extract(P^-1*X*Q^-1, r): the blocks (x0, x1, x2, x3) of X."""
+    return block_extract(mat_mul(mat_mul(mat_inverse(f.p), x), mat_inverse(f.q)), f.r)
+
+
+def perturbed(block):
+    """The block with 1 added to its top-left entry."""
+    return RMatrix.from_rows([[v + (i == j == 0) for j, v in enumerate(row)]
+                              for i, row in enumerate(block.entries)])
+
+
 class TestStarBlocks:
     def test_golden_values(self):
-        sq, sp = compute_star_blocks(golden_factors())
-        assert sq.s2 == RMatrix.from_rows([[-3], [2]])
-        assert sq.s4 == RMatrix.from_rows([[6]])
-        assert sp.t3 == RMatrix.from_rows([[1, -2]])
-        assert sp.t4 == RMatrix.from_rows([[6]])
+        (_, s2, _, s4), (_, _, t3, t4) = compute_star_blocks(golden_factors())
+        assert s2 == RMatrix.from_rows([[-3], [2]])
+        assert s4 == RMatrix.from_rows([[6]])
+        assert t3 == RMatrix.from_rows([[1, -2]])
+        assert t4 == RMatrix.from_rows([[6]])
 
     def test_golden_product(self):
         # (T4^-1*T3)(S2*S4^-1) = [-7/36]
-        sq, sp = compute_star_blocks(golden_factors())
-        left = mat_mul(mat_inverse(sp.t4), sp.t3)
-        right = mat_mul(sq.s2, mat_inverse(sq.s4))
+        (_, s2, _, s4), (_, _, t3, t4) = compute_star_blocks(golden_factors())
+        left = mat_mul(mat_inverse(t4), t3)
+        right = mat_mul(s2, mat_inverse(s4))
         assert mat_mul(left, right) == RMatrix.from_rows([["-7/36"]])
 
     def test_identity_factors(self):
         e2 = RMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
         f = factor_with(e2, identity(3), identity(3))
-        sq, sp = compute_star_blocks(f)
-        assert sq.s2 == zeros(2, 1)
-        assert sp.t3 == zeros(1, 2)
+        (_, s2, _, _), (_, _, t3, _) = compute_star_blocks(f)
+        assert s2 == zeros(2, 1)
+        assert t3 == zeros(1, 2)
 
     @given(rmatrices())
     def test_symmetry_invariants(self, a):
         f = full_rank_reduce(a)
-        sq, sp = compute_star_blocks(f)
-        for b1, b2, b3, b4 in ((sq.s1, sq.s2, sq.s3, sq.s4),
-                               (sp.t1, sp.t2, sp.t3, sp.t4)):
+        for b1, b2, b3, b4 in compute_star_blocks(f):
             assert mat_transpose(b1) == b1
             assert mat_transpose(b2) == b3
             assert mat_transpose(b4) == b4
@@ -162,13 +182,12 @@ class TestG2:
 class TestValidateG2:
     def test_identity_blocks(self):
         f = golden_factors()
-        b = BlockParams(identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
+        b = (identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
         assert validate_g2_blocks(f, b)
 
     def test_wrong_corner(self):
         f = golden_factors()
-        b = BlockParams(identity(2), zeros(2, 1), zeros(1, 2),
-                        RMatrix.from_rows([[1]]))
+        b = (identity(2), zeros(2, 1), zeros(1, 2), RMatrix.from_rows([[1]]))
         assert not validate_g2_blocks(f, b)
 
     def test_generator_round_trip(self):
@@ -182,7 +201,7 @@ class TestValidateG2:
                            fblk=rand_matrix(rng, 2, 1),
                            gblk=rand_matrix(rng, 1, 2))
             mid = mat_mul(mat_mul(pinv, x), qinv)
-            assert validate_g2_blocks(f, BlockParams(*block_extract(mid, f.r)))
+            assert validate_g2_blocks(f, block_extract(mid, f.r))
 
 
 class TestG12:
@@ -214,21 +233,33 @@ class TestValidateG3:
     def test_canonical_blocks(self):
         f = golden_factors()
         sq, _ = compute_star_blocks(f)
-        forced = -mat_mul(sq.s2, mat_inverse(sq.s4))
-        b = BlockParams(identity(2), forced, zeros(1, 2), zeros(1, 1))
+        _, s2, _, s4 = sq
+        forced = -mat_mul(s2, mat_inverse(s4))
+        b = (identity(2), forced, zeros(1, 2), zeros(1, 1))
         assert validate_g3_blocks(f, sq, b)
 
     def test_zero_x1_fails_with_nonzero_s2(self):
         f = golden_factors()
         sq, _ = compute_star_blocks(f)
-        b = BlockParams(identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
+        b = (identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
         assert not validate_g3_blocks(f, sq, b)
 
     def test_zero_core(self):
         f = golden_factors()
         sq, _ = compute_star_blocks(f)
-        b = BlockParams(zeros(2, 2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
+        b = (zeros(2, 2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
         assert validate_g3_blocks(f, sq, b)
+
+    def test_generator_round_trip(self):
+        rng = random.Random(28)
+        for f in round_trip_factors(rng):
+            sq, _ = compute_star_blocks(f)
+            for x in (g13_inverse(f, x2=rand_matrix(rng, f.n - f.r, f.r),
+                                  x3=rand_matrix(rng, f.n - f.r, f.m - f.r)),
+                      g123_inverse(f, x2=rand_matrix(rng, f.n - f.r, f.r))):
+                x0, x1, x2, x3 = middle_blocks(f, x)
+                assert validate_g3_blocks(f, sq, (x0, x1, x2, x3))
+                assert not validate_g3_blocks(f, sq, (x0, perturbed(x1), x2, x3))
 
 
 class TestG13:
@@ -275,21 +306,33 @@ class TestValidateG4:
     def test_canonical_blocks(self):
         f = golden_factors()
         _, sp = compute_star_blocks(f)
-        forced = -mat_mul(mat_inverse(sp.t4), sp.t3)
-        b = BlockParams(identity(2), zeros(2, 1), forced, zeros(1, 1))
+        _, _, t3, t4 = sp
+        forced = -mat_mul(mat_inverse(t4), t3)
+        b = (identity(2), zeros(2, 1), forced, zeros(1, 1))
         assert validate_g4_blocks(f, sp, b)
 
     def test_zero_x2_fails_with_nonzero_t3(self):
         f = golden_factors()
         _, sp = compute_star_blocks(f)
-        b = BlockParams(identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
+        b = (identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
         assert not validate_g4_blocks(f, sp, b)
 
     def test_zero_core(self):
         f = golden_factors()
         _, sp = compute_star_blocks(f)
-        b = BlockParams(zeros(2, 2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
+        b = (zeros(2, 2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
         assert validate_g4_blocks(f, sp, b)
+
+    def test_generator_round_trip(self):
+        rng = random.Random(29)
+        for f in round_trip_factors(rng):
+            _, sp = compute_star_blocks(f)
+            for x in (g14_inverse(f, x1=rand_matrix(rng, f.r, f.m - f.r),
+                                  x3=rand_matrix(rng, f.n - f.r, f.m - f.r)),
+                      g124_inverse(f, x1=rand_matrix(rng, f.r, f.m - f.r))):
+                x0, x1, x2, x3 = middle_blocks(f, x)
+                assert validate_g4_blocks(f, sp, (x0, x1, x2, x3))
+                assert not validate_g4_blocks(f, sp, (x0, x1, perturbed(x2), x3))
 
 
 class TestG14:
@@ -335,9 +378,8 @@ class TestG124:
 class TestG134:
     def test_canonical_corner_is_pseudoinverse(self):
         f = golden_factors()
-        sq, sp = compute_star_blocks(f)
-        x3 = mat_mul(mat_mul(mat_inverse(sp.t4), sp.t3),
-                     mat_mul(sq.s2, mat_inverse(sq.s4)))
+        (_, s2, _, s4), (_, _, t3, t4) = compute_star_blocks(f)
+        x3 = mat_mul(mat_mul(mat_inverse(t4), t3), mat_mul(s2, mat_inverse(s4)))
         assert g134_inverse(f, x3=x3) == moore_penrose(f.a)
 
     def test_zero_corner(self):
@@ -422,9 +464,9 @@ class TestBlockFormula:
 
                 x0 = rand_idempotent(rng, r) if explicit and r else zeros(r, r)
                 x1, x2, x3 = free(r, m - r), free(n - r, r), free(n - r, m - r)
-                sq, sp = compute_star_blocks(f)
-                star1 = -mat_mul(sq.s2, mat_inverse(sq.s4))
-                star2 = -mat_mul(mat_inverse(sp.t4), sp.t3)
+                (_, s2, _, s4), (_, _, t3, t4) = compute_star_blocks(f)
+                star1 = -mat_mul(s2, mat_inverse(s4))
+                star2 = -mat_mul(mat_inverse(t4), t3)
                 i = identity(r)
                 cases = (
                     (g1_inverse(f, **passed(x1=x1, x2=x2, x3=x3)), (i, x1, x2, x3)),
@@ -442,8 +484,8 @@ class TestBlockFormula:
                     assert x == self.formula(f, *blocks)
             if a.is_square and index_of(a) <= 1:
                 f = full_rank_reduce(a)
-                v = group_blocks(f)
-                v4i = mat_inverse(v.v4)
-                x1, x2 = -mat_mul(v.v2, v4i), -mat_mul(v4i, v.v3)
+                _, v2, v3, v4 = group_blocks(f)
+                v4i = mat_inverse(v4)
+                x1, x2 = -mat_mul(v2, v4i), -mat_mul(v4i, v3)
                 assert group_inverse_block(a) == self.formula(f, identity(f.r), x1, x2,
                                                               mat_mul(x2, x1))
