@@ -6,13 +6,15 @@ with ``#`` are comments. Output matrices use the same format in canonical
 form: lowest terms, single spaces, LF line endings. ``--pretty`` switches
 to an aligned table for human eyes.
 
-Exit codes: 0 success, 1 domain error (violated precondition), 2 parse or
-usage error. Diagnostics go to standard error.
+Lines break at LF, CRLF or CR only. Exit codes: 0 success, 1 domain error
+(violated precondition) or an output whose reader has gone, 2 parse or usage
+error. Diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from functools import cache
@@ -30,6 +32,9 @@ PROG = "geninv"
 
 _TOKEN_RE = re.compile(r"\S+")
 _COUNT_RE = re.compile(r"[0-9]+\Z")  # ASCII only, as in entries: str.isdigit() takes "²"
+# a line and its break, which is LF, CRLF or CR only: str.splitlines() also
+# breaks at form feed, U+0085, U+2028 and other characters inside a line
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
@@ -37,7 +42,7 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
     header = None
     data_rows: list[tuple] = []
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_RE.findall(text), start=1):
         last_line = lineno
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -108,7 +113,7 @@ def _load(path: str) -> RMatrix:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; count lines the way the parser does
-        head = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        head = _LINE_RE.findall(data[:exc.start].decode("utf-8") + "?")
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", filename=path,
                          line=len(head), column=len(head[-1])) from exc
     return parse_matrix_text(text, filename=path)
@@ -273,9 +278,18 @@ def run(argv) -> int:
     except GenInvError as exc:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader has gone
+        print(f"{PROG}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # output a closed pipe refused is still buffered; let the interpreter's
+    # final flush drop it in the null device instead of reporting an error
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

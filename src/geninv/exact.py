@@ -16,6 +16,7 @@ Rank, inverse and the full-rank reduction share one elimination,
 ``_echelon``, on rows of integer numerators over one denominator. Its only
 arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel
 the row's common factor; a ``Fraction`` is made only for a returned result.
+``square``'s minimal-polynomial scan reduces its rows with ``_eliminate`` too.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ the group inverse (A*q(A)^2, index <= 1) and the Drazin inverse
 
 Each call on a square matrix builds its powers I, A, A^2, ... once, in one
 lazy chain (``_Powers``) that forms A^(j+1) = A^j * A only when it is first
-asked for. The rank index, the minimal polynomial, q(A) (a combination of
-the powers, formed with scale and add only), the Drazin inverse and the
-sixth equation of ``penrose.check`` all read from that chain, so no power of
-A is multiplied out twice and no product with I or 0 is formed.
+asked for. The rank index, the minimal polynomial, q(A), the Drazin inverse
+and the sixth equation of ``penrose.check`` all read from that chain, so no
+power of A is multiplied out twice and no product with I or 0 is formed.
+The minimal polynomial's scan runs on ``exact``'s integer rows, and q(A) is
+one integer product of q's coefficients with the stacked, flattened powers.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from itertools import chain
 from typing import Optional
 
 from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation
-from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
-                    mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
-                    mat_transpose, zeros)
+from .exact import (RMatrix, _eliminate, _over_common_denominator, _unit, block_compose,
+                    block_extract, identity, mat_add, mat_inverse, mat_mul, mat_pow,
+                    mat_rank, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
 from .rect import g12_inverse, moore_penrose
 
@@ -119,42 +120,41 @@ class _Powers:
         return self._powers[j]
 
     def combine(self, coeffs) -> RMatrix:
-        """The sum of c_j * A^j over the coefficients, without a product."""
-        n = self.a.rows
-        acc = zeros(n, n)
-        for j, c in enumerate(coeffs):
-            if c:
-                acc = mat_add(acc, mat_scale(self[j], c))
-        return acc
+        """The sum of c_j * A^j over the ``Fraction`` coefficients as one
+        product, the 1 x d row of them times the d x n^2 stack of flattened
+        powers A^0 .. A^(d-1), reshaped to n x n."""
+        n, d = self.a.rows, len(coeffs)
+        stack = RMatrix(d, n * n, tuple(tuple(chain.from_iterable(self[j].entries))
+                                        for j in range(d)))
+        flat = mat_mul(RMatrix(1, d, (tuple(coeffs),)), stack).entries[0]
+        return RMatrix(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
 def minimal_polynomial(a: RMatrix, _powers: Optional[_Powers] = None) -> MinimalPolynomial:
-    """Least-degree monic polynomial with mu(A) = 0, found by scanning the
-    flattened powers I, A, A^2, ... for the first linear dependence."""
+    """Least-degree monic polynomial with mu(A) = 0: the first dependence among
+    the integer rows [vec(A^j) | e_j], each reduced by ``_eliminate`` in turn."""
     if not a.is_square:
         raise DimensionMismatch(f"minimal polynomial needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
+    n, width = a.rows, a.rows ** 2
     powers = _Powers(a) if _powers is None else _powers
-    basis = []  # (pivot position, reduced power vector, combination over lower powers)
+    basis = []  # (pivot column, reduced row), in the order they were added
     degree = 0
     while True:
-        vec = list(chain.from_iterable(powers[degree].entries))
-        combo = [Fraction(0)] * degree + [Fraction(1)]
-        for pivot, bvec, bcombo in basis:
-            c = vec[pivot]
-            if c:
-                f = c / bvec[pivot]
-                vec = [v - f * w for v, w in zip(vec, bvec)]
-                for idx, w in enumerate(bcombo):
-                    combo[idx] -= f * w
-        pivot = next((j for j, v in enumerate(vec) if v), None)
+        flat = chain.from_iterable(powers[degree].entries)
+        row = _over_common_denominator([*flat, *_unit(degree, n + 1)])
+        for pivot, brow in basis:
+            if row[0][pivot]:
+                row = _eliminate(row, brow, pivot)
+        nums = row[0]
+        pivot = next((j for j in range(width) if nums[j]), None)
         if pivot is None:
-            coeffs = tuple(combo)
+            lead = nums[width + degree]
+            coeffs = tuple(Fraction(x, lead) for x in nums[width:width + degree + 1])
             k = next(i for i, c in enumerate(coeffs) if c)
             return MinimalPolynomial(coeffs=coeffs, degree=degree, index=k)
         if degree == n:
             raise InternalInvariantViolation("powers up to A^n are linearly independent")
-        basis.append((pivot, vec, combo))
+        basis.append((pivot, row))
         degree += 1
 
 

@@ -6,8 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from geninv import (RMatrix, SingularMatrix, identity, mat_mul, mat_rank, mat_scale,
-                    mat_transpose)
+from geninv import (InternalInvariantViolation, MinimalPolynomial, RMatrix, SingularMatrix,
+                    identity, mat_mul, mat_rank, mat_scale, mat_transpose)
 
 # 3x3 rank-2 matrix used by the first two worked examples.
 EX1 = RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -219,6 +219,36 @@ def ref_full_rank_reduce(a: RMatrix, policy: str) -> tuple[RMatrix, RMatrix, int
         t += 1
     return (RMatrix(n, n, tuple(tuple(row) for row in p)),
             RMatrix(m, m, tuple(tuple(row) for row in q)), t)
+
+
+def ref_minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
+    """The first linear dependence among the flattened powers I, A, A^2, ...,
+    each power reduced against the earlier ones in Fraction arithmetic, with
+    its combination of lower powers kept alongside."""
+    n = a.rows
+    power = identity(n)
+    basis = []  # (pivot position, reduced power vector, combination over lower powers)
+    degree = 0
+    while True:
+        vec = [v for row in power.entries for v in row]
+        combo = [Fraction(0)] * degree + [Fraction(1)]
+        for pivot, bvec, bcombo in basis:
+            c = vec[pivot]
+            if c:
+                f = c / bvec[pivot]
+                vec = [v - f * w for v, w in zip(vec, bvec)]
+                for idx, w in enumerate(bcombo):
+                    combo[idx] -= f * w
+        pivot = next((j for j, v in enumerate(vec) if v), None)
+        if pivot is None:
+            coeffs = tuple(combo)
+            k = next(i for i, c in enumerate(coeffs) if c)
+            return MinimalPolynomial(coeffs=coeffs, degree=degree, index=k)
+        if degree == n:
+            raise InternalInvariantViolation("powers up to A^n are linearly independent")
+        basis.append((pivot, vec, combo))
+        degree += 1
+        power = mat_mul(power, a)
 
 
 # hypothesis strategies

@@ -86,6 +86,27 @@ class TestMatrixFile:
         lines = out.splitlines()
         assert len({len(line) for line in lines}) == 1  # rectangular layout
 
+    @pytest.mark.parametrize("text, expected", [
+        ("# note\u0085 see above\n1 1\n5\n", [[5]]),
+        ("2 2\n1 2\n3\x0c4\n", [[1, 2], [3, 4]]),
+        ("1 2\r\n1\u2028 2\r", [[1, 2]]),
+        ("1 2\n1\x0b2\n", [[1, 2]]),
+        ("2 2\n1\x1c2\n3\x1e4\u2029\n", [[1, 2], [3, 4]]),
+    ], ids=["NEL-in-comment", "FF-in-row", "LS-with-CRLF", "VT-in-row", "separators-in-rows"])
+    def test_lines_break_at_lf_crlf_cr_only(self, text, expected):
+        # str.splitlines() would also break at each of these characters
+        assert parse_matrix_text(text) == support.EX1.from_rows(expected)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1 1\n5\n6\n", 3), ("1 1\r\n5\r\n6", 3), ("1 1\r5\r\r6\r", 4),
+        ("3 2\n1 2\n", 2), ("3 2\n1 2\n\n", 3), ("3 2\r1 2\r\r\n", 3),
+        ("\n\n", 2), ("", 1),
+    ])
+    def test_line_numbers_count_lf_crlf_cr(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_matrix_text(text)
+        assert err.value.line == line
+
 
 class TestCommands:
     def test_pinv_golden(self, ex1_file, capsys):
@@ -237,6 +258,32 @@ class TestExitCodes:
         wide.write_text("1 2\n1 2\n")
         assert run(["index", str(wide)]) == 1
         assert "DimensionMismatch" in capsys.readouterr().err
+
+    def test_non_utf8_position_counts_lf_crlf_cr_only(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rmat"
+        bad.write_bytes("# \u2028\x0c".encode("utf-8") + b"\r\n2 2\r1 2\n3 \xff\n")
+        assert run(["pinv", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"geninv: parse error: {bad}:4:3: ")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("size", [2, 60])
+    def test_closed_output_is_1(self, tmp_path, unbuffered, size):
+        # buffered, the write succeeds and the flush at exit fails; unbuffered
+        # or past the buffer, the write itself fails
+        path = tmp_path / "a.rmat"
+        path.write_text(f"{size} {size}\n" + f"{' '.join(['1'] * size)}\n" * size)
+        env = dict(os.environ, PYTHONPATH=str(Path(geninv.__file__).parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "geninv", "pinv", str(path)], env=env,
+                                  stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("geninv: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def run_fresh(argv):

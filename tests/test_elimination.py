@@ -1,8 +1,11 @@
-"""Rank, inverse and the full-rank reduction share one integer elimination;
-each must equal a plain Fraction loop from tests/support.py exactly: the
-same rank, the same inverse, the same P and Q under both pivot policies."""
+"""Rank, inverse, the full-rank reduction and the minimal polynomial's
+dependence scan share one integer elimination; each must equal a plain
+Fraction loop from tests/support.py exactly: the same rank, the same
+inverse, the same P and Q under both pivot policies, the same minimal
+polynomial. q(A), one integer product, must equal Horner's ``poly_at``."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 
 import support
 from geninv import (PIVOT_POLICIES, RMatrix, SingularMatrix, full_rank_reduce, identity,
-                    mat_inverse, mat_mul, mat_rank, zeros)
+                    mat_inverse, mat_mul, mat_rank, minimal_polynomial, poly_at, q_polynomial,
+                    zeros)
+from geninv.square import _Powers
 
 BIG = 1 << 200
 
@@ -103,3 +108,83 @@ def test_seeded_corpus_matches_reference():
         a = mat_mul(support.rand_matrix(rng, m, k) if k else zeros(m, 0),
                     support.rand_matrix(rng, k, n) if k else zeros(0, n))
         assert_matches_reference(a)
+
+
+def assert_scan_matches_reference(a):
+    try:
+        expected = support.ref_minimal_polynomial(a)
+    except ValueError as e:  # 0x0: no polynomial of degree 1 or more
+        with pytest.raises(ValueError) as got:
+            minimal_polynomial(a)
+        assert str(got.value) == str(e)
+        return
+    mu = minimal_polynomial(a)
+    assert (mu.coeffs, mu.degree, mu.index) == (expected.coeffs, expected.degree, expected.index)
+    assert all(type(c) is Fraction for c in mu.coeffs)
+    powers = _Powers(a)
+    mixed = tuple(Fraction((-1) ** j * (j + BIG * (j % 2)), j + 2) for j in range(a.rows + 1))
+    for coeffs in (mu.coeffs, q_polynomial(mu).coeffs, mixed, mixed[:1]):
+        got = powers.combine(coeffs)
+        assert got == poly_at(coeffs, a)
+        assert all(type(v) is Fraction for row in got.entries for v in row)
+
+
+@given(matrices(square=True))
+def test_scan_matches_reference(a):
+    assert_scan_matches_reference(a)
+
+
+@pytest.mark.parametrize("a", [
+    zeros(0, 0), zeros(1, 1), identity(1), RMatrix.from_rows([[Fraction(-7, 3)]]),
+    RMatrix.from_rows(big_rows(random.Random(4), 1, 1)),
+    zeros(4, 4), identity(4), support.EX1, support.EX3, support.NILPOTENT_2,
+    support.nilpotent_jordan(5),
+    support.rand_nilpotent(random.Random(5), 5),
+    support.rand_invertible(random.Random(6), 5),
+    support.rand_index_one_singular(random.Random(7), 5),
+    *(support.rand_with_index(random.Random(8 + k), k, 5 - k) for k in range(4)),
+    RMatrix.from_rows(big_rows(random.Random(12), 4, 4)),
+    RMatrix.from_rows(big_rows(random.Random(13), 2, 4) * 2),
+    mat_mul(RMatrix.from_rows(big_rows(random.Random(14), 5, 2)),
+            RMatrix.from_rows(big_rows(random.Random(15), 2, 5))),
+], ids=lambda a: f"{a.rows}x{a.cols}")
+def test_named_squares_scan_matches_reference(a):
+    assert_scan_matches_reference(a)
+
+
+def test_seeded_square_corpus_scan_matches_reference():
+    rng = random.Random(20261019)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = support.rand_matrix(rng, n, n)
+        elif kind == 1:  # low rank
+            k = rng.randint(1, n)
+            a = mat_mul(support.rand_matrix(rng, n, k), support.rand_matrix(rng, k, n))
+        else:
+            k = rng.randint(0, min(3, n - 1))
+            a = support.rand_with_index(rng, k, n - k)
+        assert_scan_matches_reference(a)
+
+
+def test_scan_and_combine_make_no_fraction_arithmetic(monkeypatch):
+    a = RMatrix.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + 2 * j) % 4)
+                            for j in range(5)] for i in range(5)])
+    mu = minimal_polynomial(a)
+    q = q_polynomial(mu).coeffs
+    assert mu.degree == 5 and len(q) == 5
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(self, other, _name=name, _op=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _op(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    powers = _Powers(a)
+    assert minimal_polynomial(a, powers) == mu
+    qa = powers.combine(q)
+    assert calls == Counter()
+    assert Fraction(1, 2) * 3 + 1 == Fraction(5, 2) and calls["__mul__"] == 1  # the counters count
+    monkeypatch.undo()
+    assert qa == poly_at(q, a)

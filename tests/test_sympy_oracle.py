@@ -4,14 +4,17 @@ sympy is a test-only dependency: these tests are skipped where it is absent.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from geninv import (RMatrix, drazin_inverse, index_of, mat_mul, mat_rank,  # noqa: E402
+from geninv import (IndexTooLarge, RMatrix, drazin_inverse, group_inverse_block,  # noqa: E402
+                    group_inverse_poly, index_of, is_ep, mat_mul, mat_rank,
                     minimal_polynomial, moore_penrose)
-from support import rand_matrix, rand_nilpotent, rand_with_index  # noqa: E402
+from support import (rand_index_one_singular, rand_matrix, rand_nilpotent,  # noqa: E402
+                     rand_symmetric_singular, rand_with_index)
 
 X = sympy.Symbol("x")
 
@@ -76,3 +79,28 @@ def test_minimal_polynomial_divides_charpoly(seed):
         # and mu has every eigenvalue: the characteristic polynomial divides mu^n
         assert (mu ** a.rows).rem(charpoly).is_zero
         assert (mu.eval(0) == 0) == (to_sympy(a).det() == 0)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_group_inverse_and_ep_match_sympy(seed):
+    # A^# = A * (A^3)^+ * A when the index is at most 1; EP means A*A^+ = A^+*A
+    rng = random.Random(seed)
+    mats = corpus(seed, square=True)
+    mats += [rand_index_one_singular(rng, n) for n in (2, 3, 4)]
+    mats += [rand_symmetric_singular(rng, n) for n in (2, 3, 4)]
+    seen = Counter()
+    for a in mats:
+        s = to_sympy(a)
+        if sympy_index(s) <= 1:
+            expected = s * (s ** 3).pinv() * s
+            assert to_sympy(group_inverse_poly(a)) == expected
+            assert to_sympy(group_inverse_block(a)) == expected
+        else:
+            for route in (group_inverse_poly, group_inverse_block):
+                with pytest.raises(IndexTooLarge):
+                    route(a)
+        sp = s.pinv()
+        ep = s * sp == sp * s
+        assert is_ep(a) == ep
+        seen[sympy_index(s) <= 1, ep] += 1
+    assert set(seen) == {(True, True), (True, False), (False, False)}
