@@ -7,13 +7,14 @@ form: lowest terms, single spaces, LF line endings. ``--pretty`` switches
 to an aligned table for human eyes.
 
 Lines break at LF, CRLF or CR only. Exit codes: 0 success, 1 domain error
-(violated precondition) or an output whose reader has gone, 2 parse or usage
+(violated precondition) or an output that cannot be written, 2 parse or usage
 error. Diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -279,9 +280,11 @@ def run(argv) -> int:
         print(f"{PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:
+        if sys.stdout is None:  # the process was started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         sys.stdout.write(out)
         sys.stdout.flush()
-    except BrokenPipeError as exc:  # the reader has gone
+    except OSError as exc:  # the reader has gone, or the output cannot take it
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -289,7 +292,7 @@ def run(argv) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    # output a closed pipe refused is still buffered; let the interpreter's
-    # final flush drop it in the null device instead of reporting an error
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # output a failed write left in the buffer is flushed again at exit; let
+    # that flush go to the null device instead of reporting an error
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     raise SystemExit(code)

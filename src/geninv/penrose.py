@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch
 from .exact import RMatrix, mat_mul, mat_pow, mat_transpose
-from .square import _checked_index
+from .square import _Powers, _index_by_rank
 
 _CLASS_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("{1}", ("eq1",)),
@@ -73,8 +73,8 @@ def check(a: RMatrix, x: RMatrix, *, index: Optional[int] = None) -> PenroseRepo
     if a.is_square:
         eq5: Optional[bool] = ax == xa
         if index is None:
-            k, _, powers = _checked_index(a, "index")
-            ak = powers[k]  # already formed while the index was found
+            powers = _Powers(a)
+            ak = powers[_index_by_rank(powers)]  # already formed while the index was found
         else:
             ak = mat_pow(a, index)
         eq6: Optional[bool] = mat_mul(ak, xa) == ak

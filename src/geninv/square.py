@@ -3,15 +3,18 @@ inverses, and EP detection.
 
 The index of A is the smallest k >= 0 with rank(A^k) = rank(A^(k+1)); it
 always equals the lowest degree carrying a nonzero coefficient in the
-minimal polynomial, and ``index_of`` computes it both ways and insists they
-agree. The q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)) and turns
+minimal polynomial. Each function reads it one way: ``index_of`` and
+``penrose.check`` by the rank sequence, the inverses from the minimal
+polynomial they need anyway. The tests assert that the two routes agree, as
+they do for ``is_ep``'s rank test against the definition A^+ = A^D. The
+q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)) and turns
 the group inverse (A*q(A)^2, index <= 1) and the Drazin inverse
 (A^k * q(A)^(k+1), any index) into plain polynomial expressions in A.
 
 Each call on a square matrix builds its powers I, A, A^2, ... once, in one
 lazy chain (``_Powers``) that forms A^(j+1) = A^j * A only when it is first
 asked for. The rank index, the minimal polynomial, q(A), the Drazin inverse
-and the sixth equation of ``penrose.check`` all read from that chain, so no
+and the sixth equation of ``penrose.check`` read from that chain, so no
 power of A is multiplied out twice and no product with I or 0 is formed.
 The minimal polynomial's scan runs on ``exact``'s integer rows, and q(A) is
 one integer product of q's coefficients with the stacked, flattened powers.
@@ -29,7 +32,7 @@ from .exact import (RMatrix, _eliminate, _over_common_denominator, _unit, block_
                     block_extract, identity, mat_add, mat_inverse, mat_mul, mat_pow,
                     mat_rank, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
-from .rect import g12_inverse, moore_penrose
+from .rect import g12_inverse
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,18 @@ def poly_str(coeffs) -> str:
     return out
 
 
-def poly_at(coeffs, a: RMatrix) -> RMatrix:
-    """Evaluate a polynomial at a square matrix by Horner's scheme."""
+def _require_square(a: RMatrix, what: str) -> None:
     if not a.is_square:
-        raise DimensionMismatch(f"polynomial evaluation needs a square matrix, got {a.rows}x{a.cols}")
+        raise DimensionMismatch(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
+
+
+def poly_at(coeffs, a: RMatrix) -> RMatrix:
+    """Evaluate a polynomial at a square matrix by Horner's scheme.
+
+    No library function calls it. It is kept on purpose: it is the
+    independent evaluation the tests hold ``_Powers.combine`` against, and
+    perfbench's tracer counts its calls."""
+    _require_square(a, "polynomial evaluation")
     n = a.rows
     *lower, lead = coeffs or (0,)
     acc = mat_scale(identity(n), lead)
@@ -133,8 +144,7 @@ class _Powers:
 def minimal_polynomial(a: RMatrix, _powers: Optional[_Powers] = None) -> MinimalPolynomial:
     """Least-degree monic polynomial with mu(A) = 0: the first dependence among
     the integer rows [vec(A^j) | e_j], each reduced by ``_eliminate`` in turn."""
-    if not a.is_square:
-        raise DimensionMismatch(f"minimal polynomial needs a square matrix, got {a.rows}x{a.cols}")
+    _require_square(a, "minimal polynomial")
     n, width = a.rows, a.rows ** 2
     powers = _Powers(a) if _powers is None else _powers
     basis = []  # (pivot column, reduced row), in the order they were added
@@ -192,32 +202,20 @@ def _index_by_rank(powers: _Powers) -> int:
         k += 1
 
 
-def _checked_index(a: RMatrix, what: str) -> tuple[int, MinimalPolynomial, _Powers]:
-    """The index by the rank sequence and the minimal polynomial, whose lowest
-    nonzero-coefficient degree must agree with it, and the chain of powers of
-    A that both read."""
-    if not a.is_square:
-        raise DimensionMismatch(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
-    powers = _Powers(a)
-    k = _index_by_rank(powers)
-    mu = minimal_polynomial(a, powers)
-    if mu.index != k:
-        raise InternalInvariantViolation(f"rank index {k} != polynomial index {mu.index}")
-    return k, mu, powers
-
-
 def index_of(a: RMatrix) -> int:
-    """Smallest k with rank(A^k) = rank(A^(k+1)), cross-checked against the
-    lowest nonzero-coefficient degree of the minimal polynomial."""
-    return _checked_index(a, "index")[0]
+    """Smallest k with rank(A^k) = rank(A^(k+1)), by the rank sequence."""
+    _require_square(a, "index")
+    return _index_by_rank(_Powers(a))
 
 
 def group_inverse_poly(a: RMatrix) -> RMatrix:
     """The group inverse A*q(A)^2; requires index at most 1. q(A) itself is a
     {1}-inverse of A in that case."""
-    k, mu, powers = _checked_index(a, "group inverse")
-    if k > 1:
-        raise IndexTooLarge(f"group inverse requires index <= 1, got {k}")
+    _require_square(a, "group inverse")
+    powers = _Powers(a)
+    mu = minimal_polynomial(a, powers)
+    if mu.index > 1:
+        raise IndexTooLarge(f"group inverse requires index <= 1, got {mu.index}")
     qa = powers.combine(q_polynomial(mu).coeffs)
     return mat_mul(a, mat_mul(qa, qa))
 
@@ -234,8 +232,7 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
 
     V4 is regular exactly when the index is at most 1 (Jacobi's identity for
     complementary minors of Q*P and its inverse), for every reduction."""
-    if not a.is_square:
-        raise DimensionMismatch(f"group inverse needs a square matrix, got {a.rows}x{a.cols}")
+    _require_square(a, "group inverse")
     f = full_rank_reduce(a)
     _, v2, v3, v4 = group_blocks(f)
     if mat_rank(v4) < a.rows - f.r:
@@ -244,39 +241,28 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
     return g12_inverse(f, -mat_mul(v2, v4i), -mat_mul(v4i, v3))
 
 
-def _drazin(k: int, mu: MinimalPolynomial, powers: _Powers) -> RMatrix:
-    """A^k * q(A)^(k+1), with A^k read from the chain and q(A)^(k+1) formed
-    by k products; q(A) itself at k = 0."""
-    qa = powers.combine(q_polynomial(mu).coeffs)
-    if k == 0:
-        return qa
-    return mat_mul(powers[k], mat_pow(qa, k + 1))
-
-
 def drazin_inverse(a: RMatrix) -> RMatrix:
-    """The Drazin inverse A^k * q(A)^(k+1) at k = index of A; zero for
-    nilpotent input, the group inverse when the index is at most 1."""
-    return _drazin(*_checked_index(a, "Drazin inverse"))
+    """The Drazin inverse A^k * q(A)^(k+1) at k = index of A, read off the
+    minimal polynomial; zero for nilpotent input, the group inverse when the
+    index is at most 1. A^k comes from the chain and q(A)^(k+1) from k
+    products; q(A) itself at k = 0."""
+    _require_square(a, "Drazin inverse")
+    powers = _Powers(a)
+    mu = minimal_polynomial(a, powers)
+    qa = powers.combine(q_polynomial(mu).coeffs)
+    if mu.index == 0:
+        return qa
+    return mat_mul(powers[mu.index], mat_pow(qa, mu.index + 1))
 
 
 def drazin_onecheck(a: RMatrix) -> bool:
-    """Whether A*A^D*A = A; this holds exactly when the index is at most 1,
-    and the equivalence is enforced."""
-    k, mu, powers = _checked_index(a, "Drazin inverse")
-    holds = mat_mul(mat_mul(a, _drazin(k, mu, powers)), a) == a
-    if holds != (k <= 1):
-        raise InternalInvariantViolation("A*A^D*A = A disagrees with index <= 1")
-    return holds
+    """Whether A*A^D*A = A; this holds exactly when the index is at most 1."""
+    return mat_mul(mat_mul(a, drazin_inverse(a)), a) == a
 
 
 def is_ep(a: RMatrix) -> bool:
-    """EP test: the pseudoinverse equals the Drazin inverse. Cross-checked
-    against the null-space comparison rank([A; At]) = rank(A)."""
-    if not a.is_square:
-        raise DimensionMismatch(f"EP test needs a square matrix, got {a.rows}x{a.cols}")
-    by_definition = moore_penrose(a) == drazin_inverse(a)
+    """Whether A is EP, A^+ = A^D: exactly when A and At have the same null
+    space, that is when rank([A; At]) = rank(A)."""
+    _require_square(a, "EP test")
     stacked = block_compose(a, zeros(a.rows, 0), mat_transpose(a), zeros(a.rows, 0))
-    by_nullspace = mat_rank(stacked) == mat_rank(a)
-    if by_definition != by_nullspace:
-        raise InternalInvariantViolation("EP detection routes disagree")
-    return by_definition
+    return mat_rank(stacked) == mat_rank(a)

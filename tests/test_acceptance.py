@@ -206,7 +206,7 @@ def test_criterion_8_ep_suite(capsys):
     symmetric_singular = [rand_symmetric_singular(rng, rng.randint(2, 5))
                           for _ in range(20)]
     for a in corpus:
-        is_ep(a)  # the two detection routes cross-check internally
+        assert is_ep(a) == (moore_penrose(a) == drazin_inverse(a))
     for a in symmetric_singular:
         assert mat_rank(a) < a.rows
         assert is_ep(a)

@@ -285,6 +285,30 @@ class TestExitCodes:
         assert proc.stderr.startswith("geninv: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
+    @staticmethod
+    def pinv_child(tmp_path, unbuffered, **popen):
+        """``python -m geninv pinv`` on a 2x2 file; its exit code and stderr."""
+        path = tmp_path / "a.rmat"
+        path.write_text("2 2\n1 2\n3 4\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(geninv.__file__).parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.run([sys.executable, "-m", "geninv", "pinv", str(path)], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=60, **popen)
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_1(self, tmp_path, unbuffered):
+        # started with fd 1 closed, as by `>&-`, the child has sys.stdout = None
+        code, err = self.pinv_child(tmp_path, unbuffered, preexec_fn=lambda: os.close(1))
+        assert (code, err) == (1, "geninv: [Errno 9] Bad file descriptor: '<stdout>'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_full_output_is_1(self, tmp_path, unbuffered):
+        with open("/dev/full", "w") as full:
+            code, err = self.pinv_child(tmp_path, unbuffered, stdout=full)
+        assert (code, err) == (1, "geninv: [Errno 28] No space left on device\n")
+
 
 def run_fresh(argv):
     """(exit code, stdout, stderr) of ``python -m geninv`` in a new process."""

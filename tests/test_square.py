@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge,
-                    InternalInvariantViolation, RMatrix, check, factor_with,
-                    full_rank_reduce, group_blocks, drazin_inverse,
+from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge, RMatrix,
+                    check, factor_with, full_rank_reduce, group_blocks, drazin_inverse,
                     drazin_onecheck, group_inverse_block, group_inverse_poly,
                     identity, index_of, is_ep, mat_add, mat_inverse, mat_mul,
                     mat_pow, mat_rank, mat_scale, minimal_polynomial,
@@ -260,7 +259,9 @@ class TestDrazinRoutes:
             assert drazin_inverse(a) == mat_mul(mat_pow(a, k), mat_pow(qa, k + 1))
 
     def test_each_power_formed_once(self, monkeypatch):
-        # only the chain multiplies by A itself: up to A^max(deg mu, k+1)
+        # only the chain multiplies by A itself, and each function reads the
+        # index one way: drazin_inverse forms up to A^(deg mu) for the minimal
+        # polynomial, check up to A^(k+1) for the rank sequence
         chain_products = []
         real_mul = square.mat_mul
         monkeypatch.setattr(square, "mat_mul",
@@ -269,21 +270,19 @@ class TestDrazinRoutes:
         monkeypatch.setattr(penrose, "mat_pow", lambda *args: pows.append(args))
         for a in self.cases():
             k, mu = index_of(a), minimal_polynomial(a)
-            for run in (drazin_inverse, lambda a: check(a, zeros(a.rows, a.rows))):
+            for run, products in ((drazin_inverse, mu.degree - 1),
+                                  (lambda a: check(a, zeros(a.rows, a.rows)), k)):
                 chain_products.clear()
                 run(a)
-                assert sum(y is a for y in chain_products) == max(mu.degree, k + 1) - 1
+                assert sum(y is a for y in chain_products) == products
         assert pows == []
 
-    @pytest.mark.parametrize("run", [index_of, drazin_inverse, drazin_onecheck,
-                                     group_inverse_poly,
-                                     lambda a: check(a, zeros(a.rows, a.rows))])
-    def test_shared_chain_keeps_the_index_cross_check(self, run, monkeypatch):
-        real = square._index_by_rank
-        monkeypatch.setattr(square, "_index_by_rank", lambda *args: real(*args) + 1)
-        for a in (support.EX1, NILPOTENT_2, identity(2)):
-            with pytest.raises(InternalInvariantViolation, match="rank index"):
-                run(a)
+    def test_index_and_ep_routes_agree(self):
+        # index_of reads the rank sequence and is_ep compares ranks; the
+        # minimal polynomial and the definition A^+ = A^D must agree with them
+        for a in self.cases():
+            assert index_of(a) == minimal_polynomial(a).index
+            assert is_ep(a) == (moore_penrose(a) == drazin_inverse(a))
 
 
 class TestEP:
@@ -314,10 +313,15 @@ class TestEP:
             assert mp == group_inverse_poly(a)
             assert mp == group_inverse_block(a)
 
+    def test_index_one_is_not_enough(self):
+        # rank(A^2) = rank(A), yet A kills e2 - e1 and At kills e2
+        a = RMatrix.from_rows([[1, 1], [0, 0]])
+        assert index_of(a) == 1
+        assert not is_ep(a)
+
     @given(rmatrices(square=True, max_dim=4))
     def test_routes_agree(self, a):
-        # the cross-check inside is_ep raises if the two routes ever diverge
-        is_ep(a)
+        assert is_ep(a) == (moore_penrose(a) == drazin_inverse(a))
 
 
 class TestPolyStr:
