@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionMismatch
-from .exact import RMatrix, mat_mul, mat_pow, mat_transpose
+from .exact import RMatrix, mat_mul, mat_transpose
 from .square import _Powers, _index_by_rank
 
 _CLASS_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -54,12 +54,8 @@ def _labels(eq1, eq2, eq3, eq4, eq5, eq6) -> tuple[str, ...]:
                  if all(flags[name] for name in needs))
 
 
-def check(a: RMatrix, x: RMatrix, *, index: Optional[int] = None) -> PenroseReport:
-    """Evaluate all defining equations exactly; X must be n x m for m x n A.
-
-    ``index`` overrides the computed index of A in the sixth equation;
-    it exists for exercising index boundaries in tests.
-    """
+def check(a: RMatrix, x: RMatrix) -> PenroseReport:
+    """Evaluate all defining equations exactly; X must be n x m for m x n A."""
     if x.shape != (a.cols, a.rows):
         raise DimensionMismatch(
             f"candidate must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} matrix, "
@@ -72,11 +68,8 @@ def check(a: RMatrix, x: RMatrix, *, index: Optional[int] = None) -> PenroseRepo
     eq4 = mat_transpose(xa) == xa
     if a.is_square:
         eq5: Optional[bool] = ax == xa
-        if index is None:
-            powers = _Powers(a)
-            ak = powers[_index_by_rank(powers)]  # already formed while the index was found
-        else:
-            ak = mat_pow(a, index)
+        powers = _Powers(a)
+        ak = powers[_index_by_rank(powers)]  # already formed while the index was found
         eq6: Optional[bool] = mat_mul(ak, xa) == ak
     else:
         eq5 = eq6 = None

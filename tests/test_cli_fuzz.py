@@ -1,12 +1,17 @@
-"""Matrix-file parsing under generated input: an RMatrix or a ParseError,
-never any other exception."""
+"""Generated input: matrix-file parsing gives an RMatrix or a ParseError,
+never any other exception, and every subcommand exits 0, 1 or 2, a failure
+with one ``geninv: ...`` line on standard error."""
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geninv import ParseError, RMatrix
-from geninv.cli import _load, parse_matrix_text, write_matrix
+from geninv.cli import _G_COMMANDS, _load, parse_matrix_text, run, write_matrix
 
 # ASCII digits, and digits that str.isdigit() or int() would also take
 DIGITS = "0123456789"
@@ -99,3 +104,89 @@ def test_load_gives_a_matrix_or_a_parse_error(matrix_path, data):
         assert exc.filename == str(matrix_path) and exc.line >= 1 and exc.column >= 1
         return
     assert isinstance(a, RMatrix)
+
+
+# every subcommand, with the options that name a file (beyond the matrix)
+COMMANDS = {
+    "factor": (), "pinv": (), "drazin": (), "index": (), "minpoly": (),
+    "qpoly": (), "ep": (), "group": (), "verify": ("candidate",),
+    **{name: tuple(option for option, _ in blocks) for name, (blocks, _) in _G_COMMANDS.items()},
+}
+LIMIT = sys.get_int_max_str_digits()
+
+
+@st.composite
+def near_limit(draw):
+    """An entry with a part a few digits either side of the int-to-text limit."""
+    digits = draw(st.sampled_from("123456789")) * draw(st.integers(LIMIT - 2, LIMIT + 1))
+    return draw(st.sampled_from((digits, "-" + digits, "1/" + digits, digits + "/7")))
+
+
+@st.composite
+def matrix_files(draw):
+    """Matrix file text of at most 4x4: square half the time, about half of
+    the entries zero (so singular and nilpotent matrices come up), one entry
+    in five files near the digit limit; or now and then text near the format."""
+    if not draw(st.integers(0, 5)):
+        return draw(matrix_texts())
+    m = draw(st.integers(1, 4))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 4))
+    small = st.one_of(st.just("0"), st.tuples(
+        st.sampled_from(("", "-")), st.integers(1, 99).map(str),
+        st.sampled_from(("", "/2", "/3", "/7", "/12"))).map("".join))
+    cells = draw(st.lists(small, min_size=m * n, max_size=m * n))
+    if not draw(st.integers(0, 4)):
+        cells[draw(st.integers(0, m * n - 1))] = draw(near_limit())
+    rows = [" ".join(cells[i * n:(i + 1) * n]) for i in range(m)]
+    return "\n".join([f"{m} {n}", *rows]) + "\n"
+
+
+@st.composite
+def invocations(draw):
+    """(argv, files): a subcommand line and the files it names, by name. A
+    file is matrix text, or None for a directory; a name not in files is
+    missing. Block files take any shape up to 4x4, so some fit their slot,
+    some do not, and some are given for an empty slot."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    files = {}
+    path = draw(st.sampled_from(("a.rmat",) * 8 + ("dir.rmat", "missing.rmat")))
+    if path == "a.rmat":
+        files[path] = draw(matrix_files())
+    elif path == "dir.rmat":
+        files[path] = None
+    argv = [command, path]
+    for option in COMMANDS[command]:
+        if option == "candidate" or draw(st.booleans()):
+            name = f"{option}.rmat"
+            files[name] = draw(matrix_files())
+            argv += [f"--{option}", name]
+    if command in _G_COMMANDS and draw(st.booleans()):
+        argv.append("--zero")
+    if command == "group":
+        argv += ["--method", draw(st.sampled_from(("poly", "block")))]
+    if draw(st.booleans()):
+        argv.append("--pretty")
+    return argv, files
+
+
+@given(invocations())
+@settings(max_examples=200)
+def test_cli_keeps_its_exit_contract(tmp_path_factory, invocation):
+    argv, files = invocation
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in files.items():
+        if text is None:
+            (root / name).mkdir()
+        else:
+            (root / name).write_text(text)
+    argv = [str(root / arg) if arg.endswith(".rmat") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code in (1, 2)
+        text = err.getvalue()
+        assert text.startswith("geninv: ") and text.count("\n") == 1 and text.endswith("\n")
+        assert not out.getvalue()

@@ -41,14 +41,6 @@ def test_dimension_check():
         check(support.EX1, zeros(2, 3))
 
 
-def test_index_override():
-    # eq6 at k = 0 demands X*A = I, which fails for a singular matrix
-    rep0 = check(support.EX1, support.EX1_PINV, index=0)
-    assert rep0.eq6 is False
-    rep1 = check(support.EX1, support.EX1_PINV, index=1)
-    assert rep1.eq6 is True
-
-
 def test_classify_all_true():
     rep = check(identity(2), identity(2))
     labels = classify(rep)

@@ -88,12 +88,14 @@ class TestStarBlocks:
 
     @given(rmatrices())
     def test_symmetry_invariants(self, a):
-        f = full_rank_reduce(a)
-        for b1, b2, b3, b4 in compute_star_blocks(f):
-            assert mat_transpose(b1) == b1
-            assert mat_transpose(b2) == b3
-            assert mat_transpose(b4) == b4
-            assert mat_rank(b4) == b4.rows
+        # exact arithmetic guarantees these under every pivot policy; no call
+        # checks them itself
+        for policy in PIVOT_POLICIES:
+            for b1, b2, b3, b4 in compute_star_blocks(full_rank_reduce(a, policy)):
+                assert mat_transpose(b1) == b1
+                assert mat_transpose(b2) == b3
+                assert mat_transpose(b4) == b4
+                assert mat_rank(b4) == b4.rows
 
 
 class TestG1:

@@ -13,7 +13,7 @@ from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge, RMatrix,
                     drazin_onecheck, group_inverse_block, group_inverse_poly,
                     identity, index_of, is_ep, mat_add, mat_inverse, mat_mul,
                     mat_pow, mat_rank, mat_scale, minimal_polynomial,
-                    moore_penrose, penrose, poly_at, poly_str, q_polynomial,
+                    moore_penrose, poly_at, poly_str, q_polynomial,
                     square, zeros)
 from support import (NILPOTENT_2, rand_index_one_singular, rand_invertible,
                      rand_matrix, rand_nilpotent, rand_symmetric_singular,
@@ -128,7 +128,7 @@ class TestGroupInverse:
             group_inverse_poly(NILPOTENT_2)
 
     def test_block_rejects_high_index(self):
-        with pytest.raises(IndexTooLarge):
+        with pytest.raises(IndexTooLarge, match=r"^group inverse requires index <= 1, got 2$"):
             group_inverse_block(NILPOTENT_2)
 
     def test_block_golden_values(self):
@@ -266,8 +266,6 @@ class TestDrazinRoutes:
         real_mul = square.mat_mul
         monkeypatch.setattr(square, "mat_mul",
                             lambda x, y: chain_products.append(y) or real_mul(x, y))
-        pows = []
-        monkeypatch.setattr(penrose, "mat_pow", lambda *args: pows.append(args))
         for a in self.cases():
             k, mu = index_of(a), minimal_polynomial(a)
             for run, products in ((drazin_inverse, mu.degree - 1),
@@ -275,7 +273,6 @@ class TestDrazinRoutes:
                 chain_products.clear()
                 run(a)
                 assert sum(y is a for y in chain_products) == products
-        assert pows == []
 
     def test_index_and_ep_routes_agree(self):
         # index_of reads the rank sequence and is_ep compares ranks; the
@@ -322,6 +319,20 @@ class TestEP:
     @given(rmatrices(square=True, max_dim=4))
     def test_routes_agree(self, a):
         assert is_ep(a) == (moore_penrose(a) == drazin_inverse(a))
+
+
+def test_empty_matrix_has_index_zero():
+    # mu = 1 annihilates the 0x0 matrix; every route agrees with index 0
+    z = zeros(0, 0)
+    mu = minimal_polynomial(z)
+    assert (mu.coeffs, mu.degree, mu.index) == ((Fraction(1),), 0, 0)
+    assert index_of(z) == 0
+    assert q_polynomial(mu).coeffs == (Fraction(0),)
+    for route in (drazin_inverse, group_inverse_poly, group_inverse_block, moore_penrose):
+        assert route(z) == z
+    assert drazin_onecheck(z) and is_ep(z)
+    rep = check(z, z)
+    assert all((rep.eq1, rep.eq2, rep.eq3, rep.eq4, rep.eq5, rep.eq6))
 
 
 class TestPolyStr:
