@@ -14,8 +14,7 @@ from .exact import (RMatrix, Rational, block_compose, block_extract,
                     format_rational, identity, mat_add, mat_inverse, mat_mul,
                     mat_pow, mat_rank, mat_scale, mat_sub, mat_transpose,
                     parse_rational, partial_identity, zeros)
-from .factorize import (DEFAULT_POLICY, PIVOT_POLICIES, FactoredMatrix,
-                        PivotPolicy, factor_with, full_rank_reduce,
+from .factorize import (FactoredMatrix, factor_with, full_rank_reduce,
                         verify_factorization)
 from .penrose import PenroseReport, check, classify
 from .rect import (compute_star_blocks, g1_inverse, g12_inverse, g123_inverse,
@@ -30,10 +29,9 @@ from .square import (MinimalPolynomial, QPolynomial, drazin_inverse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_POLICY", "DimensionMismatch", "FactoredMatrix", "GenInvError",
-    "IndexOutOfRange", "IndexTooLarge", "InternalInvariantViolation",
-    "InvalidFactorization", "MinimalPolynomial", "NotIdempotent",
-    "PIVOT_POLICIES", "ParseError", "PenroseReport", "PivotPolicy",
+    "DimensionMismatch", "FactoredMatrix", "GenInvError", "IndexOutOfRange",
+    "IndexTooLarge", "InternalInvariantViolation", "InvalidFactorization",
+    "MinimalPolynomial", "NotIdempotent", "ParseError", "PenroseReport",
     "QPolynomial", "RMatrix", "Rational", "SingularMatrix",
     "block_compose", "block_extract", "check",
     "classify", "compute_star_blocks", "drazin_inverse", "drazin_onecheck",

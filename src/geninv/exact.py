@@ -58,6 +58,13 @@ def format_rational(x: Rational) -> str:
     return str(x)
 
 
+def _exact(v) -> Fraction:
+    """v as a ``Fraction``; a float is refused, as its binary value is rarely the one meant."""
+    if isinstance(v, float):
+        raise TypeError("float entries are not exact; pass Fraction, int or text")
+    return Fraction(v)
+
+
 @dataclass(frozen=True)
 class RMatrix:
     """Immutable dense matrix of rationals.
@@ -82,14 +89,7 @@ class RMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RMatrix":
         """Build from nested sequences; entries may be int, Fraction or text like ``-7/36``."""
-        grid = []
-        for row in rows:
-            converted = []
-            for v in row:
-                if isinstance(v, float):
-                    raise TypeError("float entries are not exact; pass Fraction, int or text")
-                converted.append(Fraction(v))
-            grid.append(tuple(converted))
+        grid = [tuple(_exact(v) for v in row) for row in rows]
         if not grid or not grid[0]:
             raise ValueError("matrix must be at least 1x1")
         return cls(len(grid), len(grid[0]), tuple(grid))
@@ -174,7 +174,7 @@ def mat_sub(a: RMatrix, b: RMatrix) -> RMatrix:
 
 
 def mat_scale(a: RMatrix, s) -> RMatrix:
-    s = Fraction(s)
+    s = _exact(s)
     return RMatrix(a.rows, a.cols, tuple(tuple(s * v for v in row) for row in a.entries))
 
 
@@ -245,18 +245,17 @@ def _eliminate(row, prow, c: int):
     return [x // g for x in nums], den // g
 
 
-def _echelon(rows, width: int, last: bool = False):
+def _echelon(rows, width: int):
     """Forward elimination of rows of rationals: (rank, echelon rows, cols).
 
     Step t's pivot is the first nonzero entry, row-major, of rows t.. and
-    columns t..width-1 (the last one with ``last``); its row and column are
-    swapped into place t, and cols[t] is the input column now at t.
+    columns t..width-1; its row and column are swapped into place t, and
+    cols[t] is the input column now at t.
     """
     rows = [_over_common_denominator(row) for row in rows]
     m, cols = len(rows), list(range(width))
-    step = -1 if last else 1
     for t in range(min(m, width)):
-        found = next(((i, j) for i in range(t, m)[::step] for j in range(t, width)[::step]
+        found = next(((i, j) for i in range(t, m) for j in range(t, width)
                       if rows[i][0][j]), None)
         if found is None:
             return t, rows, cols

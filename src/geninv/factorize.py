@@ -4,22 +4,17 @@ Any rational m x n matrix A can be driven to the partial identity E_r by
 elementary operations. Recording the row operations in Q and the column
 operations in P yields regular matrices with Q*A*P = E_r, where r is the
 rank of A. The pair (P, Q) is not unique; downstream constructions that
-are unique (such as the Moore-Penrose inverse) do not depend on the choice,
-and two pivot policies are exposed so tests can confirm that.
+are unique (such as the Moore-Penrose inverse) do not depend on the choice.
+``full_rank_reduce`` makes one choice, and ``factor_with`` accepts any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 from .errors import InvalidFactorization
 from .exact import RMatrix, _echelon, _solve, _unit, mat_mul, mat_rank, partial_identity
-
-PivotPolicy = Literal["first", "last"]
-PIVOT_POLICIES: tuple[PivotPolicy, ...] = ("first", "last")
-DEFAULT_POLICY: PivotPolicy = "first"
 
 
 @dataclass(frozen=True)
@@ -40,20 +35,17 @@ class FactoredMatrix:
         return self.a.cols
 
 
-def full_rank_reduce(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> FactoredMatrix:
+def full_rank_reduce(a: RMatrix) -> FactoredMatrix:
     """Reduce A to E_r by row operations (Q) and column operations (P).
 
     Q is the right half of the forward elimination of [A | I_m], each pivot
     row divided by its pivot. With Pi the column swaps and U the echelon rows
     so scaled, P = Pi * [[U1, U2], [0, I]]^-1, the column operations that
-    clear each pivot row. ``policy`` picks the next pivot among the nonzero
-    entries left: the "first" or the "last" in row-major order.
+    clear each pivot row. Each pivot is the first nonzero entry left, in
+    row-major order.
     """
-    if policy not in PIVOT_POLICIES:
-        raise ValueError(f"unknown pivot policy {policy!r}")
     m, n = a.rows, a.cols
-    r, rows, cols = _echelon([row + _unit(i, m) for i, row in enumerate(a.entries)], n,
-                             last=policy == "last")
+    r, rows, cols = _echelon([row + _unit(i, m) for i, row in enumerate(a.entries)], n)
     q = tuple(tuple(Fraction(x, nums[t] if t < r else den) for x in nums[n:])
               for t, (nums, den) in enumerate(rows))
     # row t < r of [[U1, U2], [0, I] | I] times its pivot: numerators, then pivot at t

@@ -28,7 +28,7 @@ from typing import Optional
 from .errors import DimensionMismatch, InternalInvariantViolation, NotIdempotent
 from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_scale, mat_transpose, zeros)
-from .factorize import DEFAULT_POLICY, FactoredMatrix, PivotPolicy, full_rank_reduce
+from .factorize import FactoredMatrix, full_rank_reduce
 
 
 def _gram_split(m: RMatrix, r: int) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
@@ -203,9 +203,9 @@ def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:
     return g1_inverse(f, _star_x1(sq), _star_x2(sp), x3)
 
 
-def moore_penrose(a: RMatrix, policy: PivotPolicy = DEFAULT_POLICY) -> RMatrix:
+def moore_penrose(a: RMatrix) -> RMatrix:
     """The Moore-Penrose inverse: the unique matrix satisfying all four
-    defining equations. Independent of the pivot policy used internally."""
-    f = full_rank_reduce(a, policy)
+    defining equations, whichever reduction Q*A*P = E_r it is built on."""
+    f = full_rank_reduce(a)
     sq, sp = compute_star_blocks(f)
     return g12_inverse(f, _star_x1(sq), _star_x2(sp))

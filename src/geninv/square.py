@@ -175,7 +175,7 @@ def q_polynomial(mu: MinimalPolynomial) -> QPolynomial:
     ck = mu.coeffs[k]
     if m == k:
         return QPolynomial(coeffs=(Fraction(0),))
-    return QPolynomial(coeffs=tuple(-mu.coeffs[k + 1 + j] / ck for j in range(m - k)))
+    return QPolynomial(coeffs=tuple(Fraction(-mu.coeffs[k + 1 + j], ck) for j in range(m - k)))
 
 
 def _index_by_rank(powers: _Powers) -> int:

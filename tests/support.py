@@ -6,8 +6,10 @@ import random
 
 from hypothesis import strategies as st
 
-from geninv import (InternalInvariantViolation, MinimalPolynomial, RMatrix, SingularMatrix,
-                    identity, mat_mul, mat_rank, mat_scale, mat_transpose)
+from geninv import (FactoredMatrix, InternalInvariantViolation, MinimalPolynomial, RMatrix,
+                    SingularMatrix, compute_star_blocks, factor_with, full_rank_reduce,
+                    g12_inverse, identity, mat_inverse, mat_mul, mat_rank, mat_scale,
+                    mat_transpose)
 
 # 3x3 rank-2 matrix used by the first two worked examples.
 EX1 = RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -139,6 +141,35 @@ def rand_idempotent(rng: random.Random, r: int) -> RMatrix:
             return mat_scale(mat_mul(u, mat_transpose(v)), Fraction(1, 1) / dot)
 
 
+# A second reduction. Q*A*P = E_r does not fix P and Q, and what is unique
+# (the Moore-Penrose inverse, the regularity of Gram and Q*P blocks) must come
+# out the same from any valid pair.
+
+def permutation(order) -> RMatrix:
+    """The permutation matrix whose row i is row order[i] of the identity."""
+    n = len(order)
+    return RMatrix(n, n, tuple(tuple(Fraction(j == k) for j in range(n)) for k in order))
+
+
+def second_reduction(a: RMatrix, rows=None, cols=None) -> FactoredMatrix:
+    """A reduction of A other than ``full_rank_reduce(a)``, in general.
+
+    Pr*A*Pc lists A's rows in the order ``rows`` and its columns in the order
+    ``cols`` (both reversed by default). Its reduction Q'*(Pr*A*Pc)*P' = E_r
+    gives the pair (Pc*P', Q'*Pr) for A, which ``factor_with`` checks."""
+    pr = permutation(range(a.rows - 1, -1, -1) if rows is None else rows)
+    pc = mat_transpose(permutation(range(a.cols - 1, -1, -1) if cols is None else cols))
+    f = full_rank_reduce(mat_mul(mat_mul(pr, a), pc))
+    return factor_with(a, mat_mul(pc, f.p), mat_mul(f.q, pr))
+
+
+def pseudoinverse_on(f: FactoredMatrix) -> RMatrix:
+    """The paper's Moore-Penrose block formula on the reduction f:
+    P*[[I, X1], [X2, X2*X1]]*Q with X1 = -S2*S4^-1 and X2 = -T4^-1*T3."""
+    (_, s2, _, s4), (_, _, t3, t4) = compute_star_blocks(f)
+    return g12_inverse(f, -mat_mul(s2, mat_inverse(s4)), -mat_mul(mat_inverse(t4), t3))
+
+
 # Reference eliminations: plain Fraction loops that share no code with the
 # library's integer elimination kernel.
 
@@ -185,17 +216,16 @@ def ref_inverse(a: RMatrix) -> RMatrix:
     return RMatrix(n, n, tuple(tuple(r[n:]) for r in aug))
 
 
-def ref_full_rank_reduce(a: RMatrix, policy: str) -> tuple[RMatrix, RMatrix, int]:
-    """(P, Q, r) from row and column operations mirrored into Q and P."""
+def ref_full_rank_reduce(a: RMatrix) -> tuple[RMatrix, RMatrix, int]:
+    """(P, Q, r) from row and column operations mirrored into Q and P; each
+    pivot is the first nonzero entry left, row-major."""
     m, n = a.rows, a.cols
     b = [list(row) for row in a.entries]
     q = [[Fraction(i == j) for j in range(m)] for i in range(m)]
     p = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     t = 0
     while t < min(m, n):
-        rows = range(t, m) if policy == "first" else range(m - 1, t - 1, -1)
-        cols = range(t, n) if policy == "first" else range(n - 1, t - 1, -1)
-        found = next(((i, j) for i in rows for j in cols if b[i][j]), None)
+        found = next(((i, j) for i in range(t, m) for j in range(t, n) if b[i][j]), None)
         if found is None:
             break
         pi, pj = found
@@ -264,3 +294,11 @@ def rmatrices(draw, min_dim: int = 1, max_dim: int = 5, square: bool = False):
     grid = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n),
                          min_size=m, max_size=m))
     return RMatrix.from_rows(grid)
+
+
+@st.composite
+def with_permutations(draw, matrices):
+    """(A, rows, cols): a matrix drawn from ``matrices`` with an order of its
+    rows and one of its columns, for ``second_reduction``."""
+    a = draw(matrices)
+    return a, draw(st.permutations(range(a.rows))), draw(st.permutations(range(a.cols)))

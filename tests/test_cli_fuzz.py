@@ -97,6 +97,7 @@ def matrix_path(tmp_path_factory):
 
 @given(data=st.one_of(matrix_bytes(), st.binary(max_size=40)))
 def test_load_gives_a_matrix_or_a_parse_error(matrix_path, data):
+    matrix_path.unlink(missing_ok=True)
     matrix_path.write_bytes(data)
     try:
         a = _load(str(matrix_path))

@@ -1,8 +1,9 @@
 """Rank, inverse, the full-rank reduction and the minimal polynomial's
 dependence scan share one integer elimination; each must equal a plain
 Fraction loop from tests/support.py exactly: the same rank, the same
-inverse, the same P and Q under both pivot policies, the same minimal
-polynomial. q(A), one integer product, must equal Horner's ``poly_at``."""
+inverse, the same P and Q, the same minimal polynomial. A second
+reduction, from A's rows and columns reversed, must pass ``factor_with``
+with the same rank. q(A), one integer product, must equal Horner's ``poly_at``."""
 
 import random
 from collections import Counter
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from geninv import (PIVOT_POLICIES, RMatrix, SingularMatrix, full_rank_reduce, identity,
+from geninv import (RMatrix, SingularMatrix, full_rank_reduce, identity,
                     mat_inverse, mat_mul, mat_rank, minimal_polynomial, poly_at, q_polynomial,
                     zeros)
 from geninv.square import _Powers
@@ -49,9 +50,9 @@ def matrices(draw, square=False):
 
 
 def assert_matches_reference(a):
-    for policy in PIVOT_POLICIES:
-        f = full_rank_reduce(a, policy)
-        assert (f.p, f.q, f.r) == support.ref_full_rank_reduce(a, policy)
+    f = full_rank_reduce(a)
+    assert (f.p, f.q, f.r) == support.ref_full_rank_reduce(a)
+    assert support.second_reduction(a).r == f.r
     assert mat_rank(a) == support.ref_rank(a)
     if a.is_square:
         try:

@@ -12,7 +12,7 @@ import support
 from geninv import (DimensionMismatch, IndexOutOfRange, RMatrix,
                     SingularMatrix, block_compose, block_extract, exact,
                     format_rational, identity, mat_add, mat_inverse, mat_mul,
-                    mat_pow, mat_rank, mat_transpose, parse_rational,
+                    mat_pow, mat_rank, mat_scale, mat_transpose, parse_rational,
                     partial_identity, zeros)
 from support import rand_invertible, rationals, rmatrices
 
@@ -82,6 +82,11 @@ class TestArithmetic:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
             RMatrix.from_rows([[1.5]])
+
+    def test_float_scalar_rejected(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="float entries are not exact"):
+            mat_scale(support.EX1, 0.1)
 
 
 class TestInverse:

@@ -10,7 +10,7 @@ import support
 from geninv import (FactoredMatrix, InvalidFactorization, RMatrix, factor_with,
                     full_rank_reduce, identity, mat_inverse, mat_mul,
                     partial_identity, verify_factorization, zeros)
-from support import rmatrices
+from support import rmatrices, second_reduction, with_permutations
 
 
 def test_reduce_golden_matrix():
@@ -75,15 +75,19 @@ def test_reduce_500_random_matrices():
         assert verify_factorization(f)
 
 
-@given(rmatrices())
-def test_policies_agree_on_rank(a):
-    assert full_rank_reduce(a, "first").r == full_rank_reduce(a, "last").r
+@given(with_permutations(rmatrices()))
+def test_policies_agree_on_rank(drawn):
+    # the pivot order of permuted rows and columns reaches the same rank
+    a, rows, cols = drawn
+    assert second_reduction(a, rows, cols).r == full_rank_reduce(a).r
 
 
-@given(rmatrices())
-def test_both_policies_verify(a):
-    assert verify_factorization(full_rank_reduce(a, "first"))
-    assert verify_factorization(full_rank_reduce(a, "last"))
+@given(with_permutations(rmatrices()))
+def test_both_policies_verify(drawn):
+    # the library's pivot order and that of permuted rows and columns
+    a, rows, cols = drawn
+    assert verify_factorization(full_rank_reduce(a))
+    assert verify_factorization(second_reduction(a, rows, cols))
 
 
 @given(rmatrices())
@@ -96,8 +100,3 @@ def test_factors_are_regular():
     f = full_rank_reduce(support.EX3)
     assert mat_mul(f.p, mat_inverse(f.p)) == identity(5)
     assert mat_mul(f.q, mat_inverse(f.q)) == identity(5)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        full_rank_reduce(support.EX1, "random")

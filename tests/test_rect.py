@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (PIVOT_POLICIES, DimensionMismatch,
-                    NotIdempotent, RMatrix, block_compose, block_extract,
+from geninv import (DimensionMismatch, NotIdempotent, RMatrix, block_compose, block_extract,
                     compute_star_blocks, factor_with, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
                     g13_inverse, g134_inverse, g14_inverse, g2_inverse,
@@ -16,8 +15,9 @@ from geninv import (PIVOT_POLICIES, DimensionMismatch,
                     mat_inverse, mat_mul, mat_rank, mat_transpose,
                     moore_penrose, validate_g2_blocks, validate_g3_blocks,
                     validate_g4_blocks, zeros)
-from support import (rand_idempotent, rand_index_one_singular, rand_invertible,
-                     rand_matrix, rmatrices)
+from support import (pseudoinverse_on, rand_idempotent, rand_index_one_singular,
+                     rand_invertible, rand_matrix, rmatrices, second_reduction,
+                     with_permutations)
 
 
 def golden_factors():
@@ -43,12 +43,11 @@ def eq4_holds(a, x):
 
 
 def round_trip_factors(rng):
-    """Reductions of rank-deficient L*R products under each pivot policy; every
-    block slot of a split at r is non-empty."""
+    """The library's and a second reduction of rank-deficient L*R products;
+    every block slot of a split at r is non-empty."""
     for m, n, r in ((3, 4, 2), (4, 3, 1), (3, 3, 2), (5, 4, 3), (4, 5, 2)):
         a = mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n))
-        for policy in PIVOT_POLICIES:
-            f = full_rank_reduce(a, policy)
+        for f in (full_rank_reduce(a), second_reduction(a)):
             assert 0 < f.r < min(m, n)
             yield f
 
@@ -86,12 +85,13 @@ class TestStarBlocks:
         assert s2 == zeros(2, 1)
         assert t3 == zeros(1, 2)
 
-    @given(rmatrices())
-    def test_symmetry_invariants(self, a):
-        # exact arithmetic guarantees these under every pivot policy; no call
+    @given(with_permutations(rmatrices()))
+    def test_symmetry_invariants(self, drawn):
+        # exact arithmetic guarantees these for every reduction; no call
         # checks them itself
-        for policy in PIVOT_POLICIES:
-            for b1, b2, b3, b4 in compute_star_blocks(full_rank_reduce(a, policy)):
+        a, rows, cols = drawn
+        for f in (full_rank_reduce(a), second_reduction(a, rows, cols)):
+            for b1, b2, b3, b4 in compute_star_blocks(f):
                 assert mat_transpose(b1) == b1
                 assert mat_transpose(b2) == b3
                 assert mat_transpose(b4) == b4
@@ -422,9 +422,11 @@ class TestMoorePenrose:
         for holds in (eq1_holds, eq2_holds, eq3_holds, eq4_holds):
             assert holds(a, x)
 
-    @given(rmatrices())
-    def test_pivot_policy_independence(self, a):
-        assert moore_penrose(a, "first") == moore_penrose(a, "last")
+    @given(with_permutations(rmatrices()))
+    def test_pivot_policy_independence(self, drawn):
+        # the block formula on the pivot order of permuted rows and columns
+        a, rows, cols = drawn
+        assert moore_penrose(a) == pseudoinverse_on(second_reduction(a, rows, cols))
 
     @given(rmatrices(max_dim=4))
     def test_double_pseudoinverse(self, a):
@@ -453,8 +455,8 @@ class TestBlockFormula:
     def test_constructors_match_block_formula(self):
         rng = random.Random(22)
         for a in self.inputs(rng):
-            for policy, explicit in product(PIVOT_POLICIES, (False, True)):
-                f = full_rank_reduce(a, policy)
+            for f, explicit in product((full_rank_reduce(a), second_reduction(a)),
+                                       (False, True)):
                 r, m, n = f.r, f.m, f.n
 
                 def free(rows, cols):
@@ -478,7 +480,7 @@ class TestBlockFormula:
                     (g14_inverse(f, **passed(x1=x1, x3=x3)), (i, x1, star2, x3)),
                     (g124_inverse(f, **passed(x1=x1)), (i, x1, star2, mat_mul(star2, x1))),
                     (g134_inverse(f, **passed(x3=x3)), (i, star1, star2, x3)),
-                    (moore_penrose(a, policy), (i, star1, star2, mat_mul(star2, star1))),
+                    (moore_penrose(a), (i, star1, star2, mat_mul(star2, star1))),
                     (g2_inverse(f, **passed(x0=x0, fblk=x1, gblk=x2)),
                      (x0, mat_mul(x0, x1), mat_mul(x2, x0), mat_mul(mat_mul(x2, x0), x1))),
                 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge, RMatrix,
+from geninv import (DimensionMismatch, IndexTooLarge, MinimalPolynomial, RMatrix,
                     check, factor_with, full_rank_reduce, group_blocks, drazin_inverse,
                     drazin_onecheck, group_inverse_block, group_inverse_poly,
                     identity, index_of, is_ep, mat_add, mat_inverse, mat_mul,
@@ -17,7 +17,7 @@ from geninv import (PIVOT_POLICIES, DimensionMismatch, IndexTooLarge, RMatrix,
                     square, zeros)
 from support import (NILPOTENT_2, rand_index_one_singular, rand_invertible,
                      rand_matrix, rand_nilpotent, rand_symmetric_singular,
-                     rand_with_index, rmatrices)
+                     rand_with_index, rmatrices, second_reduction)
 
 
 class TestMinimalPolynomial:
@@ -73,6 +73,10 @@ class TestPolyAt:
             assert poly_at(coeffs, a) == expected
             assert len(products) == len(coeffs) - 1
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="float entries are not exact"):
+            poly_at([0.1, 1], support.EX1)
+
 
 class TestQPolynomial:
     def test_golden_example(self):
@@ -88,6 +92,12 @@ class TestQPolynomial:
     def test_nilpotent(self):
         q = q_polynomial(minimal_polynomial(NILPOTENT_2))
         assert q.coeffs == (Fraction(0),)
+
+    def test_int_coefficients_give_fractions(self):
+        # mu = x^2 - 3x + 2 = 2 * (1 - x*(3/2 - x/2))
+        q = q_polynomial(MinimalPolynomial((2, -3, 1), 2, 0))
+        assert q.coeffs == (Fraction(3, 2), Fraction(-1, 2))
+        assert all(type(c) is Fraction for c in q.coeffs)  # 1.5 == Fraction(3, 2) too
 
     @given(rmatrices(square=True))
     def test_rebuild_identity(self, a):
@@ -178,8 +188,7 @@ class TestGroupInverse:
         for a in mats:
             k = index_of(a)
             indices.add(k)
-            for policy in PIVOT_POLICIES:
-                f = full_rank_reduce(a, policy)
+            for f in (full_rank_reduce(a), second_reduction(a)):
                 _, _, _, v4 = group_blocks(f)
                 assert (mat_rank(v4) == v4.rows) == (k <= 1)
             if k >= 2:
