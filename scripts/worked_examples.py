@@ -34,7 +34,7 @@ def walk(name, a):
     if a.is_square:
         mu = minimal_polynomial(a)
         print(f"minimal polynomial: {poly_str(mu.coeffs)}")
-        print(f"q-polynomial:       {poly_str(q_polynomial(mu).coeffs)}")
+        print(f"q-polynomial:       {poly_str(q_polynomial(mu))}")
         print(f"index:              {index_of(a)}")
         print(f"EP:                 {is_ep(a)}")
         print()

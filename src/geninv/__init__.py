@@ -21,7 +21,7 @@ from .rect import (compute_star_blocks, g1_inverse, g12_inverse, g123_inverse,
                    g124_inverse, g13_inverse, g134_inverse, g14_inverse,
                    g2_inverse, moore_penrose, validate_g2_blocks,
                    validate_g3_blocks, validate_g4_blocks)
-from .square import (MinimalPolynomial, QPolynomial, drazin_inverse,
+from .square import (MinimalPolynomial, drazin_inverse,
                      drazin_onecheck, group_blocks,
                      group_inverse_block, group_inverse_poly, index_of, is_ep,
                      minimal_polynomial, poly_at, poly_str, q_polynomial)
@@ -32,7 +32,7 @@ __all__ = [
     "DimensionMismatch", "FactoredMatrix", "GenInvError", "IndexOutOfRange",
     "IndexTooLarge", "InternalInvariantViolation", "InvalidFactorization",
     "MinimalPolynomial", "NotIdempotent", "ParseError", "PenroseReport",
-    "QPolynomial", "RMatrix", "Rational", "SingularMatrix",
+    "RMatrix", "Rational", "SingularMatrix",
     "block_compose", "block_extract", "check",
     "classify", "compute_star_blocks", "drazin_inverse", "drazin_onecheck",
     "factor_with", "format_rational", "full_rank_reduce", "g1_inverse",

@@ -194,7 +194,7 @@ def _cmd_minpoly(args) -> str:
 
 
 def _cmd_qpoly(args) -> str:
-    return _text(poly_str, q_polynomial(minimal_polynomial(_load(args.matrix))).coeffs) + "\n"
+    return _text(poly_str, q_polynomial(minimal_polynomial(_load(args.matrix)))) + "\n"
 
 
 def _cmd_ep(args) -> str:

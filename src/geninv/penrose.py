@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch
 from .exact import RMatrix, mat_mul, mat_transpose
-from .square import _Powers, _index_by_rank
+from .square import _index_and_power
 
 _CLASS_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("{1}", ("eq1",)),
@@ -68,8 +68,7 @@ def check(a: RMatrix, x: RMatrix) -> PenroseReport:
     eq4 = mat_transpose(xa) == xa
     if a.is_square:
         eq5: Optional[bool] = ax == xa
-        powers = _Powers(a)
-        ak = powers[_index_by_rank(powers)]  # already formed while the index was found
+        _, ak = _index_and_power(a)
         eq6: Optional[bool] = mat_mul(ak, xa) == ak
     else:
         eq5 = eq6 = None

@@ -8,17 +8,18 @@ minimal polynomial. Each function reads it one way: ``index_of`` and
 polynomial they need anyway. The tests assert that the two routes agree, as
 they do for ``is_ep``'s rank test against the definition A^+ = A^D. The
 q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)), which the tests
-also assert rather than each call, and turns the group inverse (A*q(A)^2,
-index <= 1) and the Drazin inverse (A^k * q(A)^(k+1), any index) into plain
-polynomial expressions in A.
+also assert rather than each call, and turns the Drazin inverse
+A^k * q(A)^(k+1) into a plain polynomial expression in A. The group inverse
+is the same expression at index k <= 1: A*q(A)^2, or q(A) = A^-1 for a
+regular A. ``drazin_inverse`` and ``group_inverse_poly`` share that route.
 
-Each call on a square matrix builds its powers I, A, A^2, ... once, in one
-lazy chain (``_Powers``) that forms A^(j+1) = A^j * A only when it is first
-asked for. The rank index, the minimal polynomial, q(A), the Drazin inverse
-and the sixth equation of ``penrose.check`` read from that chain, so no
-power of A is multiplied out twice and no product with I or 0 is formed.
-The minimal polynomial's scan runs on ``exact``'s integer rows, and q(A) is
-one integer product of q's coefficients with the stacked, flattened powers.
+Each call multiplies out the powers of A it needs once, each by one product
+with A, and forms no product with I or 0. The minimal polynomial's scan
+fills a plain list with I, A, ..., A^(deg mu), forming A^(j+1) = A^j * A
+only after A^j turned out independent; q(A) and A^k are read from that list.
+The rank sequence forms A^2, ..., A^(k+1) in a loop of its own. The scan
+runs on ``exact``'s integer rows, and q(A) is one integer product of q's
+coefficients with the stacked, flattened powers.
 """
 
 from __future__ import annotations
@@ -45,28 +46,18 @@ class MinimalPolynomial:
     """
 
     coeffs: tuple[Fraction, ...]
-    degree: int
-    index: int
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient list does not match the degree")
-        if self.coeffs[-1] != 1:
+        if not self.coeffs or self.coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        if not 0 <= self.index <= self.degree or self.coeffs[self.index] == 0:
-            raise ValueError("index must point at the lowest nonzero coefficient")
-        if any(self.coeffs[i] != 0 for i in range(self.index)):
-            raise ValueError("coefficients below the index must vanish")
 
-    def __str__(self) -> str:
-        return poly_str(self.coeffs)
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
-
-@dataclass(frozen=True)
-class QPolynomial:
-    """q(x) with mu(x) = c_k * x^k * (1 - x*q(x)); identically zero when mu = x^k."""
-
-    coeffs: tuple[Fraction, ...]
+    @property
+    def index(self) -> int:
+        return next(i for i, c in enumerate(self.coeffs) if c)
 
     def __str__(self) -> str:
         return poly_str(self.coeffs)
@@ -104,7 +95,7 @@ def poly_at(coeffs, a: RMatrix) -> RMatrix:
     """Evaluate a polynomial at a square matrix by Horner's scheme.
 
     No library function calls it. It is kept on purpose: it is the
-    independent evaluation the tests hold ``_Powers.combine`` against, and
+    independent evaluation the tests hold ``_combine`` against, and
     perfbench's tracer counts its calls."""
     _require_square(a, "polynomial evaluation")
     n = a.rows
@@ -117,37 +108,25 @@ def poly_at(coeffs, a: RMatrix) -> RMatrix:
     return acc
 
 
-class _Powers:
-    """The powers I, A, A^2, ... of a square matrix A, each formed once, by
-    one product with A, when it is first asked for."""
-
-    def __init__(self, a: RMatrix) -> None:
-        self.a = a
-        self._powers = [identity(a.rows), a]
-
-    def __getitem__(self, j: int) -> RMatrix:
-        while len(self._powers) <= j:
-            # through the module global, so a wrapper bound in its place sees it
-            self._powers.append(mat_mul(self._powers[-1], self.a))
-        return self._powers[j]
-
-    def combine(self, coeffs) -> RMatrix:
-        """The sum of c_j * A^j over the ``Fraction`` coefficients as one
-        product, the 1 x d row of them times the d x n^2 stack of flattened
-        powers A^0 .. A^(d-1), reshaped to n x n."""
-        n, d = self.a.rows, len(coeffs)
-        stack = RMatrix(d, n * n, tuple(tuple(chain.from_iterable(self[j].entries))
-                                        for j in range(d)))
-        flat = mat_mul(RMatrix(1, d, (tuple(coeffs),)), stack).entries[0]
-        return RMatrix(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+def _combine(coeffs, powers: list[RMatrix]) -> RMatrix:
+    """The sum of c_j * A^j over the ``Fraction`` coefficients as one product,
+    the 1 x d row of them times the d x n^2 stack of the flattened powers
+    A^0 .. A^(d-1) from ``powers``, reshaped to n x n."""
+    n, d = powers[0].rows, len(coeffs)
+    stack = RMatrix(d, n * n, tuple(tuple(chain.from_iterable(powers[j].entries))
+                                    for j in range(d)))
+    flat = mat_mul(RMatrix(1, d, (tuple(coeffs),)), stack).entries[0]
+    return RMatrix(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
-def minimal_polynomial(a: RMatrix, _powers: Optional[_Powers] = None) -> MinimalPolynomial:
+def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> MinimalPolynomial:
     """Least-degree monic polynomial with mu(A) = 0: the first dependence among
-    the integer rows [vec(A^j) | e_j], each reduced by ``_eliminate`` in turn."""
+    the integer rows [vec(A^j) | e_j], each reduced by ``_eliminate`` in turn.
+    A list passed as ``_powers`` receives A^0 .. A^(deg mu)."""
     _require_square(a, "minimal polynomial")
     n, width = a.rows, a.rows ** 2
-    powers = _Powers(a) if _powers is None else _powers
+    powers = [] if _powers is None else _powers
+    powers.append(identity(n))
     basis = []  # (pivot column, reduced row), in the order they were added
     degree = 0
     while True:
@@ -160,51 +139,55 @@ def minimal_polynomial(a: RMatrix, _powers: Optional[_Powers] = None) -> Minimal
         pivot = next((j for j in range(width) if nums[j]), None)
         if pivot is None:
             lead = nums[width + degree]
-            coeffs = tuple(Fraction(x, lead) for x in nums[width:width + degree + 1])
-            k = next(i for i, c in enumerate(coeffs) if c)
-            return MinimalPolynomial(coeffs=coeffs, degree=degree, index=k)
+            return MinimalPolynomial(tuple(Fraction(x, lead)
+                                           for x in nums[width:width + degree + 1]))
         if degree == n:
             raise InternalInvariantViolation("powers up to A^n are linearly independent")
         basis.append((pivot, row))
+        # through the module global, so a wrapper bound in its place sees it
+        powers.append(mat_mul(powers[degree], a) if degree else a)
         degree += 1
 
 
-def q_polynomial(mu: MinimalPolynomial) -> QPolynomial:
-    """The polynomial q with mu(x) = c_k * x^k * (1 - x*q(x)); zero when mu = x^k."""
-    m, k = mu.degree, mu.index
+def q_polynomial(mu: MinimalPolynomial) -> tuple[Fraction, ...]:
+    """The coefficients of q with mu(x) = c_k * x^k * (1 - x*q(x)); (0,) when mu = x^k."""
+    k = mu.index
     ck = mu.coeffs[k]
-    if m == k:
-        return QPolynomial(coeffs=(Fraction(0),))
-    return QPolynomial(coeffs=tuple(Fraction(-mu.coeffs[k + 1 + j], ck) for j in range(m - k)))
+    return tuple(Fraction(-c, ck) for c in mu.coeffs[k + 1:]) or (Fraction(0),)
 
 
-def _index_by_rank(powers: _Powers) -> int:
-    prev = powers.a.rows  # rank of A^0
-    k = 0
-    while True:
-        cur = mat_rank(powers[k + 1])
-        if cur == prev:
-            return k
-        prev = cur
-        k += 1
+def _index_and_power(a: RMatrix) -> tuple[int, RMatrix]:
+    """The index k by the rank sequence, with A^k: k products and k + 1 ranks."""
+    k, power, prev, nxt = 0, identity(a.rows), a.rows, a  # A^0, its rank, A^1
+    while (cur := mat_rank(nxt)) != prev:
+        k, power, prev, nxt = k + 1, nxt, cur, mat_mul(nxt, a)
+    return k, power
 
 
 def index_of(a: RMatrix) -> int:
     """Smallest k with rank(A^k) = rank(A^(k+1)), by the rank sequence."""
     _require_square(a, "index")
-    return _index_by_rank(_Powers(a))
+    return _index_and_power(a)[0]
+
+
+def _drazin(mu: MinimalPolynomial, powers: list[RMatrix]) -> RMatrix:
+    """A^k * q(A)^(k+1) at k = index of A, or q(A) itself at k = 0, with A^k
+    and the powers q(A) needs read from the minimal polynomial's list."""
+    qa = _combine(q_polynomial(mu), powers)
+    k = mu.index
+    return qa if k == 0 else mat_mul(powers[k], mat_pow(qa, k + 1))
 
 
 def group_inverse_poly(a: RMatrix) -> RMatrix:
-    """The group inverse A*q(A)^2; requires index at most 1. q(A) itself is a
-    {1}-inverse of A in that case."""
+    """The group inverse, which requires index at most 1: the Drazin route's
+    A*q(A)^2, or q(A) = A^-1 for a regular A. q(A) itself is a {1}-inverse of
+    A at index 1."""
     _require_square(a, "group inverse")
-    powers = _Powers(a)
+    powers = []
     mu = minimal_polynomial(a, powers)
     if mu.index > 1:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {mu.index}")
-    qa = powers.combine(q_polynomial(mu).coeffs)
-    return mat_mul(a, mat_mul(qa, qa))
+    return _drazin(mu, powers)
 
 
 def group_blocks(f: FactoredMatrix) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
@@ -226,22 +209,18 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
         v4i = mat_inverse(v4)
     except SingularMatrix:
         raise IndexTooLarge(
-            f"group inverse requires index <= 1, got {_index_by_rank(_Powers(a))}") from None
+            f"group inverse requires index <= 1, got {_index_and_power(a)[0]}") from None
     return g12_inverse(f, -mat_mul(v2, v4i), -mat_mul(v4i, v3))
 
 
 def drazin_inverse(a: RMatrix) -> RMatrix:
     """The Drazin inverse A^k * q(A)^(k+1) at k = index of A, read off the
     minimal polynomial; zero for nilpotent input, the group inverse when the
-    index is at most 1. A^k comes from the chain and q(A)^(k+1) from k
-    products; q(A) itself at k = 0."""
+    index is at most 1."""
     _require_square(a, "Drazin inverse")
-    powers = _Powers(a)
+    powers = []
     mu = minimal_polynomial(a, powers)
-    qa = powers.combine(q_polynomial(mu).coeffs)
-    if mu.index == 0:
-        return qa
-    return mat_mul(powers[mu.index], mat_pow(qa, mu.index + 1))
+    return _drazin(mu, powers)
 
 
 def drazin_onecheck(a: RMatrix) -> bool:

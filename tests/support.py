@@ -271,9 +271,7 @@ def ref_minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
                     combo[idx] -= f * w
         pivot = next((j for j, v in enumerate(vec) if v), None)
         if pivot is None:
-            coeffs = tuple(combo)
-            k = next(i for i, c in enumerate(coeffs) if c)
-            return MinimalPolynomial(coeffs=coeffs, degree=degree, index=k)
+            return MinimalPolynomial(tuple(combo))
         if degree == n:
             raise InternalInvariantViolation("powers up to A^n are linearly independent")
         basis.append((pivot, vec, combo))

@@ -17,7 +17,7 @@ import support
 from geninv import (RMatrix, SingularMatrix, full_rank_reduce, identity,
                     mat_inverse, mat_mul, mat_rank, minimal_polynomial, poly_at, q_polynomial,
                     zeros)
-from geninv.square import _Powers
+from geninv.square import _combine
 
 BIG = 1 << 200
 
@@ -113,13 +113,17 @@ def test_seeded_corpus_matches_reference():
 
 def assert_scan_matches_reference(a):
     expected = support.ref_minimal_polynomial(a)
-    mu = minimal_polynomial(a)
+    scanned = []
+    mu = minimal_polynomial(a, scanned)
     assert (mu.coeffs, mu.degree, mu.index) == (expected.coeffs, expected.degree, expected.index)
     assert all(type(c) is Fraction for c in mu.coeffs)
-    powers = _Powers(a)
+    powers = [identity(a.rows)]
+    for _ in range(a.rows):
+        powers.append(mat_mul(powers[-1], a))
+    assert scanned == powers[:mu.degree + 1]  # the scan hands back A^0 .. A^(deg mu)
     mixed = tuple(Fraction((-1) ** j * (j + BIG * (j % 2)), j + 2) for j in range(a.rows + 1))
-    for coeffs in (mu.coeffs, q_polynomial(mu).coeffs, mixed, mixed[:1]):
-        got = powers.combine(coeffs)
+    for coeffs in (mu.coeffs, q_polynomial(mu), mixed, mixed[:1]):
+        got = _combine(coeffs, powers)
         assert got == poly_at(coeffs, a)
         assert all(type(v) is Fraction for row in got.entries for v in row)
 
@@ -167,7 +171,7 @@ def test_scan_and_combine_make_no_fraction_arithmetic(monkeypatch):
     a = RMatrix.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + 2 * j) % 4)
                             for j in range(5)] for i in range(5)])
     mu = minimal_polynomial(a)
-    q = q_polynomial(mu).coeffs
+    q = q_polynomial(mu)
     assert mu.degree == 5 and len(q) == 5
     calls = Counter()
     for name in ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -176,9 +180,9 @@ def test_scan_and_combine_make_no_fraction_arithmetic(monkeypatch):
             calls[_name] += 1
             return _op(self, other)
         monkeypatch.setattr(Fraction, name, counted)
-    powers = _Powers(a)
+    powers = []
     assert minimal_polynomial(a, powers) == mu
-    qa = powers.combine(q)
+    qa = _combine(q, powers)
     assert calls == Counter()
     assert Fraction(1, 2) * 3 + 1 == Fraction(5, 2) and calls["__mul__"] == 1  # the counters count
     monkeypatch.undo()

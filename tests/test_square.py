@@ -28,6 +28,11 @@ class TestMinimalPolynomial:
         assert mu.index == 1
         assert str(mu) == "x^3 - 15*x^2 - 18*x"
 
+    @pytest.mark.parametrize("coeffs", [(), (Fraction(0), Fraction(2)), (Fraction(1), 0)])
+    def test_must_be_monic(self, coeffs):
+        with pytest.raises(ValueError, match=r"^minimal polynomial must be monic$"):
+            MinimalPolynomial(coeffs)
+
     def test_identity(self):
         mu = minimal_polynomial(identity(4))
         assert mu.coeffs == (Fraction(-1), Fraction(1))
@@ -81,23 +86,23 @@ class TestPolyAt:
 class TestQPolynomial:
     def test_golden_example(self):
         q = q_polynomial(minimal_polynomial(support.EX1))
-        assert q.coeffs == (Fraction(-5, 6), Fraction(1, 18))
-        assert str(q) == "1/18*x - 5/6"
+        assert q == (Fraction(-5, 6), Fraction(1, 18))
+        assert poly_str(q) == "1/18*x - 5/6"
 
     def test_identity_matrix(self):
         # mu = x - 1 gives q = 1, and -1 * (1 - x*1) = x - 1
         q = q_polynomial(minimal_polynomial(identity(3)))
-        assert q.coeffs == (Fraction(1),)
+        assert q == (Fraction(1),)
 
     def test_nilpotent(self):
         q = q_polynomial(minimal_polynomial(NILPOTENT_2))
-        assert q.coeffs == (Fraction(0),)
+        assert q == (Fraction(0),)
 
     def test_int_coefficients_give_fractions(self):
         # mu = x^2 - 3x + 2 = 2 * (1 - x*(3/2 - x/2))
-        q = q_polynomial(MinimalPolynomial((2, -3, 1), 2, 0))
-        assert q.coeffs == (Fraction(3, 2), Fraction(-1, 2))
-        assert all(type(c) is Fraction for c in q.coeffs)  # 1.5 == Fraction(3, 2) too
+        q = q_polynomial(MinimalPolynomial((2, -3, 1)))
+        assert q == (Fraction(3, 2), Fraction(-1, 2))
+        assert all(type(c) is Fraction for c in q)  # 1.5 == Fraction(3, 2) too
 
     @given(rmatrices(square=True))
     def test_rebuild_identity(self, a):
@@ -105,7 +110,7 @@ class TestQPolynomial:
         q = q_polynomial(mu)
         # mu(x) = c_k x^k (1 - x q(x)), checked coefficientwise
         ck = mu.coeffs[mu.index]
-        rebuilt = [Fraction(0)] * mu.index + [ck] + [-ck * c for c in q.coeffs]
+        rebuilt = [Fraction(0)] * mu.index + [ck] + [-ck * c for c in q]
         rebuilt = rebuilt[:mu.degree + 1] + [Fraction(0)] * (mu.degree + 1 - len(rebuilt))
         assert tuple(rebuilt) == mu.coeffs
 
@@ -134,8 +139,10 @@ class TestGroupInverse:
         assert group_inverse_poly(identity(3)) == identity(3)
 
     def test_poly_rejects_high_index(self):
-        with pytest.raises(IndexTooLarge):
+        with pytest.raises(IndexTooLarge, match=r"^group inverse requires index <= 1, got 2$"):
             group_inverse_poly(NILPOTENT_2)
+        with pytest.raises(IndexTooLarge, match=r"^group inverse requires index <= 1, got 3$"):
+            group_inverse_poly(support.nilpotent_jordan(3))
 
     def test_block_rejects_high_index(self):
         with pytest.raises(IndexTooLarge, match=r"^group inverse requires index <= 1, got 2$"):
@@ -202,7 +209,7 @@ class TestGroupInverse:
         rng = random.Random(22)
         for _ in range(40):
             a = rand_index_one_singular(rng, rng.randint(2, 4))
-            qa = poly_at(q_polynomial(minimal_polynomial(a)).coeffs, a)
+            qa = poly_at(q_polynomial(minimal_polynomial(a)), a)
             assert mat_mul(mat_mul(a, qa), a) == a
 
     def test_defining_equations(self):
@@ -251,8 +258,8 @@ class TestDrazin:
 
 
 class TestDrazinRoutes:
-    """The shared power chain against the paper's formula A^k * q(A)^(k+1),
-    evaluated with the public functions."""
+    """The shared polynomial route against the paper's formulas A^k * q(A)^(k+1)
+    and, at index k <= 1, A*q(A)^2, evaluated with the public functions."""
 
     def cases(self):
         rng = random.Random(27)
@@ -264,21 +271,27 @@ class TestDrazinRoutes:
     def test_equals_paper_formula(self):
         for a in self.cases():
             k = index_of(a)
-            qa = poly_at(q_polynomial(minimal_polynomial(a)).coeffs, a)
+            qa = poly_at(q_polynomial(minimal_polynomial(a)), a)
             assert drazin_inverse(a) == mat_mul(mat_pow(a, k), mat_pow(qa, k + 1))
+            if k <= 1:
+                assert group_inverse_poly(a) == mat_mul(a, mat_pow(qa, 2))
 
     def test_each_power_formed_once(self, monkeypatch):
-        # only the chain multiplies by A itself, and each function reads the
-        # index one way: drazin_inverse forms up to A^(deg mu) for the minimal
-        # polynomial, check up to A^(k+1) for the rank sequence
+        # only the list of powers and the rank sequence multiply by A itself,
+        # and each function reads the index one way: drazin_inverse and
+        # group_inverse_poly form up to A^(deg mu) in the minimal polynomial's
+        # list, check up to A^(k+1) for the rank sequence
         chain_products = []
         real_mul = square.mat_mul
         monkeypatch.setattr(square, "mat_mul",
                             lambda x, y: chain_products.append(y) or real_mul(x, y))
         for a in self.cases():
             k, mu = index_of(a), minimal_polynomial(a)
-            for run, products in ((drazin_inverse, mu.degree - 1),
-                                  (lambda a: check(a, zeros(a.rows, a.rows)), k)):
+            runs = [(drazin_inverse, mu.degree - 1),
+                    (lambda a: check(a, zeros(a.rows, a.rows)), k)]
+            if k <= 1:
+                runs.append((group_inverse_poly, mu.degree - 1))
+            for run, products in runs:
                 chain_products.clear()
                 run(a)
                 assert sum(y is a for y in chain_products) == products
@@ -336,7 +349,7 @@ def test_empty_matrix_has_index_zero():
     mu = minimal_polynomial(z)
     assert (mu.coeffs, mu.degree, mu.index) == ((Fraction(1),), 0, 0)
     assert index_of(z) == 0
-    assert q_polynomial(mu).coeffs == (Fraction(0),)
+    assert q_polynomial(mu) == (Fraction(0),)
     for route in (drazin_inverse, group_inverse_poly, group_inverse_block, moore_penrose):
         assert route(z) == z
     assert drazin_onecheck(z) and is_ep(z)
