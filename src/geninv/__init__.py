@@ -3,7 +3,7 @@
 Builds every classical inverse family ({1}, {2}, {1,2}, {1,3}, {1,2,3},
 {1,4}, {1,2,4}, {1,3,4}, Moore-Penrose, group, Drazin) through block
 representations over a full-rank reduction Q*A*P = E_r, entirely in exact
-fraction arithmetic, and verifies candidates against the defining equations.
+rational arithmetic, and verifies candidates against the defining equations.
 """
 
 from .errors import (DimensionMismatch, GenInvError, IndexOutOfRange,

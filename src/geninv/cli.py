@@ -21,7 +21,7 @@ import sys
 from functools import cache
 
 from .errors import GenInvError, ParseError
-from .exact import RMatrix, format_rational, parse_rational
+from .exact import RMatrix, _from_grid, format_rational, parse_rational
 from .factorize import full_rank_reduce
 from .penrose import check
 from . import rect
@@ -85,7 +85,7 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
     if len(data_rows) != header[0]:
         raise ParseError(f"expected {header[0]} matrix rows, found {len(data_rows)}",
                          filename=filename, line=max(last_line, 1), column=1)
-    return RMatrix(header[0], header[1], tuple(data_rows))
+    return _from_grid(header[0], header[1], data_rows)
 
 
 def write_matrix(a: RMatrix) -> str:

@@ -2,28 +2,32 @@
 
 Scalars are ``fractions.Fraction`` values, re-exported as ``Rational``:
 arbitrary precision, always in lowest terms with a positive denominator,
-and with structural equality. Matrices are immutable grids of rationals,
-so every operation returns a fresh value and the whole module is safe to
-use from several threads at once.
+and with structural equality.
 
-Products are formed on integers: each row of the left factor and each
-column of the right one is put over the lcm of its denominators, every
-entry is one integer dot product of the scaled numerators, and the only
-normalisation (one gcd) happens when that sum over the two common
-denominators becomes the entry's ``Fraction``.
+A matrix is one flat, row-major tuple of integer numerators over one
+denominator, kept in canonical form: the denominator is positive and shares
+no factor with all the numerators at once. Structural equality is then
+equality of the integers. Matrices are immutable, so every operation returns
+a fresh value and the whole module is safe to use from several threads at
+once. ``RMatrix.entries`` is the ``Fraction`` view of the grid, built when
+read.
+
+Every kernel works on the integer grid and makes no ``Fraction``: a product
+entry is one integer dot product over the product of the two denominators,
+a sum puts both grids over the lcm of theirs, and the only normalisation is
+one gcd over the result's grid.
 
 Rank, inverse and the full-rank reduction share one elimination,
-``_echelon``, on rows of integer numerators over one denominator. Its only
+``_echelon``, on rows of integer numerators over a denominator. Its only
 arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel
-the row's common factor; a ``Fraction`` is made only for a returned result.
-``square``'s minimal-polynomial scan reduces its rows with ``_eliminate`` too.
+the row's common factor. ``square``'s minimal-polynomial scan reduces its
+rows with ``_eliminate`` too.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -58,41 +62,60 @@ def format_rational(x: Rational) -> str:
     return str(x)
 
 
-def _exact(v) -> Fraction:
-    """v as a ``Fraction``; a float is refused, as its binary value is rarely the one meant."""
+def _exact(v):
+    """v as an int or a ``Fraction``; text is parsed, and a float is refused, as
+    its binary value is rarely the one meant."""
+    if isinstance(v, (int, Fraction)):
+        return v
     if isinstance(v, float):
         raise TypeError("float entries are not exact; pass Fraction, int or text")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
 
 
-@dataclass(frozen=True)
 class RMatrix:
     """Immutable dense matrix of rationals.
 
-    Either dimension may be zero: such matrices are the empty blocks of a
-    split at r = 0 or at full rank. ``from_rows`` builds only 1x1 and up.
+    It holds ``_nums``, the row-major tuple of integer numerators, over one
+    denominator ``_den``, in canonical form: ``_den > 0`` and
+    ``gcd(_den, *_nums) == 1``. Equality and hashing compare those integers.
+    ``entries`` is the ``Fraction`` view, built when read.
+
+    ``RMatrix(rows, cols, entries)`` takes a grid of ``Fraction``s;
+    ``from_rows`` also takes ints and text; the kernels build their results
+    with ``_make``. Either dimension may be zero: such matrices are the empty
+    blocks of a split at r = 0 or at full rank. ``from_rows`` builds only 1x1
+    and up.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Rational, ...], ...]
+    __slots__ = ("rows", "cols", "_nums", "_den")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"matrix dimensions must be >= 0, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
+    def __new__(cls, rows: int, cols: int, entries) -> "RMatrix":
+        _check_shape(rows, cols)
+        if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match the declared shape")
-        for v in chain.from_iterable(self.entries):
+        for v in chain.from_iterable(entries):
             if not isinstance(v, Fraction):
                 raise TypeError(f"entries must be Fraction, got {type(v).__name__}")
+        return _from_grid(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RMatrix":
         """Build from nested sequences; entries may be int, Fraction or text like ``-7/36``."""
-        grid = [tuple(_exact(v) for v in row) for row in rows]
+        grid = [[_exact(v) for v in row] for row in rows]
         if not grid or not grid[0]:
             raise ValueError("matrix must be at least 1x1")
-        return cls(len(grid), len(grid[0]), tuple(grid))
+        if any(len(row) != len(grid[0]) for row in grid):
+            raise ValueError("entry grid does not match the declared shape")
+        return _from_grid(len(grid), len(grid[0]), grid)
+
+    @property
+    def entries(self) -> tuple[tuple[Rational, ...], ...]:
+        """The grid of ``Fraction``s, built on each read."""
+        den = self._den
+        return tuple([tuple([Fraction(x, den) for x in row]) for row in _rows(self)])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,9 +125,24 @@ class RMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RMatrix is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, RMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._nums == other._nums)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self._den, self._nums))
+
+    def __reduce__(self):
+        return _make, (self.rows, self.cols, self._nums, self._den)
+
     def __getitem__(self, key: tuple[int, int]) -> Rational:
         i, j = key
-        return self.entries[i][j]
+        return Fraction(_rows(self)[i][j], self._den)
 
     def __add__(self, other):
         if not isinstance(other, RMatrix):
@@ -141,65 +179,113 @@ class RMatrix:
         return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(rows: int, cols: int, nums, den: int) -> RMatrix:
+    """The rows x cols matrix nums / den, for a row-major list or tuple of
+    integers and den != 0, in canonical form: den > 0 and gcd(den, *nums) == 1.
+    It sets the slots past the ``__setattr__`` that keeps matrices immutable.
+
+    Kernels pass lists, which become tuples of their exact length. ``tuple()``
+    of a generator allocates a guessed length and resizes it; once freed, the
+    resized tuples pile up in CPython's per-length free lists, up to 2,000 of
+    each length, until a full collection, which the integer kernels seldom
+    trigger. On pinv-rect that held about 2 MiB."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    m = _new(RMatrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "_nums", tuple(nums))
+    _set(m, "_den", den)
+    return m
+
+
+def _from_grid(rows: int, cols: int, grid) -> RMatrix:
+    """The matrix of a grid of ints and ``Fraction``s, read through their
+    numerators and denominators and put over the lcm of the denominators."""
+    den = lcm(*[v.denominator for row in grid for v in row])
+    return _make(rows, cols, [v.numerator * (den // v.denominator)
+                              for row in grid for v in row], den)
+
+
+def _from_divided_rows(rows, cols: int) -> RMatrix:
+    """The matrix with row i equal to nums / d for the i-th (nums, d) of rows, d != 0."""
+    den = lcm(*[d for _, d in rows])
+    return _make(len(rows), cols, [x * (den // d) for nums, d in rows for x in nums], den)
+
+
+def _rows(a: RMatrix) -> tuple[tuple[int, ...], ...]:
+    """The numerators of a, row by row."""
+    c = a.cols
+    return tuple([a._nums[i * c:(i + 1) * c] for i in range(a.rows)])
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix dimensions must be >= 0, got {rows}x{cols}")
+
+
 def zeros(rows: int, cols: int) -> RMatrix:
-    return RMatrix(rows, cols, tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
+    _check_shape(rows, cols)
+    return _make(rows, cols, (0,) * (rows * cols), 1)
 
 
 def identity(n: int) -> RMatrix:
-    return RMatrix(n, n, tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n)))
+    _check_shape(n, n)
+    return partial_identity(n, n, n)
 
 
 def partial_identity(rows: int, cols: int, r: int) -> RMatrix:
     """The m x n matrix with ones on the first r diagonal places, zeros elsewhere."""
     if r < 0 or r > min(rows, cols):
         raise ValueError(f"rank {r} outside 0..{min(rows, cols)}")
-    return RMatrix(rows, cols,
-                   tuple(tuple(Fraction(i == j and i < r) for j in range(cols)) for i in range(rows)))
+    return _make(rows, cols, [int(i == j < r) for i in range(rows) for j in range(cols)], 1)
 
 
 def mat_add(a: RMatrix, b: RMatrix) -> RMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    return RMatrix(a.rows, a.cols,
-                   tuple(tuple(x + y for x, y in zip(ra, rb))
-                         for ra, rb in zip(a.entries, b.entries)))
+    return _sum(a, b, 1)
 
 
 def mat_sub(a: RMatrix, b: RMatrix) -> RMatrix:
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot subtract {b.rows}x{b.cols} from {a.rows}x{a.cols}")
-    return RMatrix(a.rows, a.cols,
-                   tuple(tuple(x - y for x, y in zip(ra, rb))
-                         for ra, rb in zip(a.entries, b.entries)))
+    return _sum(a, b, -1)
+
+
+def _sum(a: RMatrix, b: RMatrix, sign: int) -> RMatrix:
+    """a + sign*b, both grids put over the lcm of their denominators."""
+    den = lcm(a._den, b._den)
+    fa, fb = den // a._den, sign * (den // b._den)
+    return _make(a.rows, a.cols, [fa * x + fb * y for x, y in zip(a._nums, b._nums)], den)
 
 
 def mat_scale(a: RMatrix, s) -> RMatrix:
     s = _exact(s)
-    return RMatrix(a.rows, a.cols, tuple(tuple(s * v for v in row) for row in a.entries))
+    num = s.numerator
+    return _make(a.rows, a.cols, [num * x for x in a._nums], s.denominator * a._den)
 
 
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    if a.cols == 0:  # an empty sum per entry
-        return zeros(a.rows, b.cols)
-    rows = [_over_common_denominator(row) for row in a.entries]
-    cols = [_over_common_denominator(col) for col in zip(*b.entries)]
-    return RMatrix(a.rows, b.cols,
-                   tuple(tuple(Fraction(sum(map(mul, ra, cb)), da * db) for cb, db in cols)
-                         for ra, da in rows))
-
-
-def _over_common_denominator(v) -> tuple[list[int], int]:
-    """Integers n and d with v[i] == n[i] / d, d the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+    n = b.cols
+    cols = [b._nums[j::n] for j in range(n)]
+    return _make(a.rows, n, [sum(map(mul, row, col)) for row in _rows(a) for col in cols],
+                 a._den * b._den)
 
 
 def mat_transpose(a: RMatrix) -> RMatrix:
-    if a.rows == 0:  # zip(*()) would lose the column count
-        return zeros(a.cols, 0)
-    return RMatrix(a.cols, a.rows, tuple(zip(*a.entries)))
+    c = a.cols
+    return _make(c, a.rows, [x for j in range(c) for x in a._nums[j::c]], a._den)
 
 
 def mat_pow(a: RMatrix, k: int) -> RMatrix:
@@ -219,13 +305,13 @@ def mat_inverse(a: RMatrix) -> RMatrix:
     """Exact inverse: forward elimination of [A | I], then back-substitution."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices are invertible, got {a.rows}x{a.cols}")
-    n = a.rows
-    return RMatrix(n, n, tuple(_solve([row + _unit(i, n) for i, row in enumerate(a.entries)])))
+    n, den = a.rows, a._den
+    return _solve([([*row, *_unit(i, n, den)], den) for i, row in enumerate(_rows(a))])
 
 
 def mat_rank(a: RMatrix) -> int:
     """Exact rank by forward elimination."""
-    return _echelon(a.entries, a.cols)[0]
+    return _echelon([(list(row), a._den) for row in _rows(a)], a.cols)[0]
 
 
 def _unit(i: int, n: int, x: int = 1) -> tuple[int, ...]:
@@ -246,13 +332,13 @@ def _eliminate(row, prow, c: int):
 
 
 def _echelon(rows, width: int):
-    """Forward elimination of rows of rationals: (rank, echelon rows, cols).
+    """Forward elimination of (numerators, denominator) rows, each numerator
+    row a list: (rank, echelon rows, cols).
 
     Step t's pivot is the first nonzero entry, row-major, of rows t.. and
     columns t..width-1; its row and column are swapped into place t, and
     cols[t] is the input column now at t.
     """
-    rows = [_over_common_denominator(row) for row in rows]
     m, cols = len(rows), list(range(width))
     for t in range(min(m, width)):
         found = next(((i, j) for i in range(t, m) for j in range(t, width)
@@ -271,9 +357,10 @@ def _echelon(rows, width: int):
     return min(m, width), rows, cols
 
 
-def _solve(rows) -> list[tuple[Rational, ...]]:
-    """A^-1 * B as rows of ``Fraction``, from the rows of [A | B] with A n x n."""
+def _solve(rows) -> RMatrix:
+    """A^-1 * B from the (numerators, denominator) rows of [A | B], A n x n."""
     n = len(rows)
+    width = len(rows[0][0]) - n if rows else 0
     rank, rows, cols = _echelon(rows, n)
     if rank < n:
         raise SingularMatrix(f"matrix of size {n} has rank below {n}")
@@ -283,8 +370,8 @@ def _solve(rows) -> list[tuple[Rational, ...]]:
                 rows[s] = _eliminate(rows[s], rows[t], t)
     out = [()] * n
     for t, (nums, _) in enumerate(rows):  # row t of (A*Pi)^-1 * B is row cols[t] of A^-1 * B
-        out[cols[t]] = tuple(Fraction(x, nums[t]) for x in nums[n:])
-    return out
+        out[cols[t]] = (nums[n:], nums[t])
+    return _from_divided_rows(out, width)
 
 
 def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix:
@@ -295,9 +382,16 @@ def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix
                                 (x1.cols, x3.cols, "right block widths")):
         if first != second:
             raise DimensionMismatch(f"inconsistent {what}: {first} vs {second}")
-    grid = tuple(left + right for left, right in chain(zip(x0.entries, x1.entries),
-                                                       zip(x2.entries, x3.entries)))
-    return RMatrix(x0.rows + x2.rows, x0.cols + x1.cols, grid)
+    den = lcm(x0._den, x1._den, x2._den, x3._den)
+
+    def over_den(x):
+        f = den // x._den
+        return [[f * v for v in row] for row in _rows(x)]
+
+    nums = [v for left, right in chain(zip(over_den(x0), over_den(x1)),
+                                       zip(over_den(x2), over_den(x3)))
+            for v in left + right]
+    return _make(x0.rows + x2.rows, x0.cols + x1.cols, nums, den)
 
 
 def block_extract(a: RMatrix, r: int) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
@@ -305,8 +399,10 @@ def block_extract(a: RMatrix, r: int) -> tuple[RMatrix, RMatrix, RMatrix, RMatri
     if r < 0 or r > min(a.rows, a.cols):
         raise IndexOutOfRange(f"split index {r} outside 0..{min(a.rows, a.cols)}")
 
+    rows = _rows(a)
+
     def sub(r0, r1, c0, c1):
-        return RMatrix(r1 - r0, c1 - c0, tuple(row[c0:c1] for row in a.entries[r0:r1]))
+        return _make(r1 - r0, c1 - c0, [x for row in rows[r0:r1] for x in row[c0:c1]], a._den)
 
     return (sub(0, r, 0, r), sub(0, r, r, a.cols),
             sub(r, a.rows, 0, r), sub(r, a.rows, r, a.cols))

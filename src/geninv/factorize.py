@@ -11,10 +11,10 @@ are unique (such as the Moore-Penrose inverse) do not depend on the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidFactorization
-from .exact import RMatrix, _echelon, _solve, _unit, mat_mul, mat_rank, partial_identity
+from .exact import (RMatrix, _echelon, _from_divided_rows, _make, _rows, _solve, _unit, mat_mul,
+                    mat_rank, partial_identity)
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,17 @@ def full_rank_reduce(a: RMatrix) -> FactoredMatrix:
     clear each pivot row. Each pivot is the first nonzero entry left, in
     row-major order.
     """
-    m, n = a.rows, a.cols
-    r, rows, cols = _echelon([row + _unit(i, m) for i, row in enumerate(a.entries)], n)
-    q = tuple(tuple(Fraction(x, nums[t] if t < r else den) for x in nums[n:])
-              for t, (nums, den) in enumerate(rows))
+    m, n, den = a.rows, a.cols, a._den
+    r, rows, cols = _echelon([([*row, *_unit(i, m, den)], den) for i, row in enumerate(_rows(a))], n)
+    q = _from_divided_rows([(nums[n:], nums[t] if t < r else d)
+                            for t, (nums, d) in enumerate(rows)], m)
     # row t < r of [[U1, U2], [0, I] | I] times its pivot: numerators, then pivot at t
-    u_inv = _solve([tuple(rows[t][0][:n]) + _unit(t, n, rows[t][0][t]) if t < r
-                    else _unit(t, n) + _unit(t, n) for t in range(n)])
+    u_inv = _solve([([*rows[t][0][:n], *_unit(t, n, rows[t][0][t])], 1) if t < r
+                    else ([*_unit(t, n), *_unit(t, n)], 1) for t in range(n)])
     p = [()] * n
-    for t, row in enumerate(u_inv):
+    for t, row in enumerate(_rows(u_inv)):
         p[cols[t]] = row
-    return FactoredMatrix(a=a, p=RMatrix(n, n, tuple(p)), q=RMatrix(m, m, q), r=r)
+    return FactoredMatrix(a=a, p=_make(n, n, [x for row in p for x in row], u_inv._den), q=q, r=r)
 
 
 def verify_factorization(f: FactoredMatrix) -> bool:

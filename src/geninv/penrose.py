@@ -50,8 +50,8 @@ class PenroseReport:
 def _labels(eq1, eq2, eq3, eq4, eq5, eq6) -> tuple[str, ...]:
     """Class labels of the satisfied equations; eq5/eq6 = None counts as unsatisfied."""
     flags = {"eq1": eq1, "eq2": eq2, "eq3": eq3, "eq4": eq4, "eq5": eq5, "eq6": eq6}
-    return tuple(label for label, needs in _CLASS_TABLE
-                 if all(flags[name] for name in needs))
+    return tuple([label for label, needs in _CLASS_TABLE
+                  if all(flags[name] for name in needs)])
 
 
 def check(a: RMatrix, x: RMatrix) -> PenroseReport:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from math import lcm
 from typing import Optional
 
 from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation, SingularMatrix
-from .exact import (RMatrix, _eliminate, _over_common_denominator, _unit, block_compose,
-                    block_extract, identity, mat_add, mat_inverse, mat_mul, mat_pow,
-                    mat_rank, mat_scale, mat_transpose, zeros)
+from .exact import (RMatrix, _eliminate, _from_grid, _make, _unit, block_compose, block_extract,
+                    identity, mat_add, mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
+                    mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
 from .rect import g12_inverse
 
@@ -111,12 +111,13 @@ def poly_at(coeffs, a: RMatrix) -> RMatrix:
 def _combine(coeffs, powers: list[RMatrix]) -> RMatrix:
     """The sum of c_j * A^j over the ``Fraction`` coefficients as one product,
     the 1 x d row of them times the d x n^2 stack of the flattened powers
-    A^0 .. A^(d-1) from ``powers``, reshaped to n x n."""
+    A^0 .. A^(d-1) from ``powers``, put over the lcm of their denominators and
+    read back as n x n."""
     n, d = powers[0].rows, len(coeffs)
-    stack = RMatrix(d, n * n, tuple(tuple(chain.from_iterable(powers[j].entries))
-                                    for j in range(d)))
-    flat = mat_mul(RMatrix(1, d, (tuple(coeffs),)), stack).entries[0]
-    return RMatrix(n, n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+    den = lcm(*[p._den for p in powers[:d]])
+    stack = _make(d, n * n, [x * (den // p._den) for p in powers[:d] for x in p._nums], den)
+    flat = mat_mul(_from_grid(1, d, (coeffs,)), stack)
+    return _make(n, n, flat._nums, flat._den)
 
 
 def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> MinimalPolynomial:
@@ -130,8 +131,8 @@ def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> M
     basis = []  # (pivot column, reduced row), in the order they were added
     degree = 0
     while True:
-        flat = chain.from_iterable(powers[degree].entries)
-        row = _over_common_denominator([*flat, *_unit(degree, n + 1)])
+        power = powers[degree]
+        row = [*power._nums, *_unit(degree, n + 1, power._den)], power._den
         for pivot, brow in basis:
             if row[0][pivot]:
                 row = _eliminate(row, brow, pivot)
@@ -139,8 +140,8 @@ def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> M
         pivot = next((j for j in range(width) if nums[j]), None)
         if pivot is None:
             lead = nums[width + degree]
-            return MinimalPolynomial(tuple(Fraction(x, lead)
-                                           for x in nums[width:width + degree + 1]))
+            return MinimalPolynomial(tuple([Fraction(x, lead)
+                                            for x in nums[width:width + degree + 1]]))
         if degree == n:
             raise InternalInvariantViolation("powers up to A^n are linearly independent")
         basis.append((pivot, row))
@@ -152,8 +153,9 @@ def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> M
 def q_polynomial(mu: MinimalPolynomial) -> tuple[Fraction, ...]:
     """The coefficients of q with mu(x) = c_k * x^k * (1 - x*q(x)); (0,) when mu = x^k."""
     k = mu.index
-    ck = mu.coeffs[k]
-    return tuple(Fraction(-c, ck) for c in mu.coeffs[k + 1:]) or (Fraction(0),)
+    num, den = mu.coeffs[k].numerator, mu.coeffs[k].denominator  # c_k, read once
+    return tuple([Fraction(-c.numerator * den, c.denominator * num)
+                  for c in mu.coeffs[k + 1:]]) or (Fraction(0),)
 
 
 def _index_and_power(a: RMatrix) -> tuple[int, RMatrix]:

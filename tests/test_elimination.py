@@ -14,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from geninv import (RMatrix, SingularMatrix, full_rank_reduce, identity,
-                    mat_inverse, mat_mul, mat_rank, minimal_polynomial, poly_at, q_polynomial,
-                    zeros)
+from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, full_rank_reduce, identity,
+                    mat_inverse, mat_mul, mat_rank, minimal_polynomial, moore_penrose, poly_at,
+                    q_polynomial, zeros)
 from geninv.square import _combine
 
 BIG = 1 << 200
@@ -167,23 +167,63 @@ def test_seeded_square_corpus_scan_matches_reference():
         assert_scan_matches_reference(a)
 
 
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+              "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def count_fractions(monkeypatch) -> Counter:
+    """Count each ``Fraction`` made (key ``__new__``) and each call of a
+    ``Fraction`` arithmetic operator, until ``monkeypatch.undo()``."""
+    calls = Counter()
+    for name in ("__new__",) + ARITHMETIC:
+        def counted(*args, _name=name, _op=getattr(Fraction, name), **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(Fraction, name, staticmethod(counted) if name == "__new__" else counted)
+    return calls
+
+
+def test_counters_count(monkeypatch):
+    calls = count_fractions(monkeypatch)
+    assert Fraction(1, 2) * 3 + 1 == Fraction(5, 2)
+    assert (calls["__mul__"], calls["__add__"], calls["__new__"]) == (1, 1, 4)
+
+
 def test_scan_and_combine_make_no_fraction_arithmetic(monkeypatch):
     a = RMatrix.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + 2 * j) % 4)
                             for j in range(5)] for i in range(5)])
     mu = minimal_polynomial(a)
     q = q_polynomial(mu)
     assert mu.degree == 5 and len(q) == 5
-    calls = Counter()
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
-        def counted(self, other, _name=name, _op=getattr(Fraction, name)):
-            calls[_name] += 1
-            return _op(self, other)
-        monkeypatch.setattr(Fraction, name, counted)
+    calls = count_fractions(monkeypatch)
     powers = []
     assert minimal_polynomial(a, powers) == mu
     qa = _combine(q, powers)
-    assert calls == Counter()
-    assert Fraction(1, 2) * 3 + 1 == Fraction(5, 2) and calls["__mul__"] == 1  # the counters count
+    assert calls == Counter({"__new__": len(mu.coeffs)})  # mu's coefficients, nothing else
     monkeypatch.undo()
     assert qa == poly_at(q, a)
+
+
+def test_kernels_make_no_fraction(monkeypatch):
+    # the reduction, the inverse, the pseudoinverse and check make no Fraction;
+    # the Drazin inverse makes mu's and q's coefficients and nothing else
+    rng = random.Random(41)
+    a = mat_mul(support.rand_matrix(rng, 5, 3), support.rand_matrix(rng, 3, 6))
+    b = support.rand_invertible(rng, 5)
+    s = support.rand_with_index(rng, 2, 4)
+    mu = minimal_polynomial(s)
+    q = q_polynomial(mu)
+    calls = count_fractions(monkeypatch)
+    f = full_rank_reduce(a)
+    inverse = mat_inverse(b)
+    x = moore_penrose(a)
+    report = check(a, x)
+    assert calls == Counter()
+    d = drazin_inverse(s)
+    drazin_calls = +calls
+    report_d = check(s, d)
+    assert calls == drazin_calls
+    monkeypatch.undo()
+    assert drazin_calls == Counter({"__new__": len(mu.coeffs) + len(q)})
+    assert f.r == 3 and "MP" in report.classes and mat_mul(inverse, b) == identity(5)
+    assert mu.index == 2 and "Drazin" in report_d.classes

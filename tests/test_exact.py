@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import support
 from geninv import (DimensionMismatch, IndexOutOfRange, RMatrix,
                     SingularMatrix, block_compose, block_extract, exact,
-                    format_rational, identity, mat_add, mat_inverse, mat_mul,
-                    mat_pow, mat_rank, mat_scale, mat_transpose, parse_rational,
-                    partial_identity, zeros)
+                    format_rational, full_rank_reduce, identity, mat_add, mat_inverse,
+                    mat_mul, mat_pow, mat_rank, mat_scale, mat_sub, mat_transpose,
+                    parse_rational, partial_identity, zeros)
 from support import rand_invertible, rationals, rmatrices
 
 
@@ -335,3 +335,90 @@ class TestExactness:
     def test_partial_identity(self):
         e = partial_identity(3, 4, 2)
         assert e == RMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+
+
+class TestFromRowsText:
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError) as got:
+            parse_rational("1/0")
+        with pytest.raises(ValueError) as from_rows:
+            RMatrix.from_rows([["1/0"]])
+        assert str(from_rows.value) == str(got.value) == "zero denominator in '1/0'"
+
+    def test_text_that_fraction_reads_keeps_its_value(self):
+        a = RMatrix.from_rows([["1.5", " 2 ", "-7/36", "1e2", "10/4"]])
+        assert a.entries == ((Fraction(3, 2), Fraction(2), Fraction(-7, 36), Fraction(100),
+                              Fraction(5, 2)),)
+
+
+# entries of up to 200 bits over mixed denominators, small ones and zeros
+BIG_ENTRIES = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                        st.builds(Fraction, st.integers(-(1 << 200), 1 << 200),
+                                  st.integers(1, 1 << 200)))
+
+
+@st.composite
+def grids(draw, rows, cols):
+    """A rows x cols matrix: wide entries, all zero, or every entry over one denominator."""
+    kind = draw(st.sampled_from(("wide", "zero", "one denominator")))
+    if kind == "zero":
+        return zeros(rows, cols)
+    d = draw(st.integers(1, 1 << 200))
+    entry = BIG_ENTRIES if kind == "wide" else st.integers(-(1 << 200), 1 << 200).map(
+        lambda x: Fraction(x, d))
+    return RMatrix(rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                     for _ in range(rows)))
+
+
+def assert_canonical(m):
+    """den > 0, gcd(den, *nums) == 1, and the Fraction view rebuilds an equal matrix."""
+    assert type(m._nums) is tuple and len(m._nums) == m.rows * m.cols
+    assert all(type(x) is int for x in m._nums) and type(m._den) is int
+    assert m._den > 0 and gcd(m._den, *m._nums) == 1
+    again = RMatrix(m.rows, m.cols, m.entries)
+    assert again == m and hash(again) == hash(m)
+
+
+class TestCanonicalForm:
+    @given(st.data())
+    def test_every_kernel_result_is_canonical(self, data):
+        m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a, b, c = data.draw(grids(m, k)), data.draw(grids(k, n)), data.draw(grids(m, k))
+        r = data.draw(st.integers(0, min(m, k)))
+        s = data.draw(st.sampled_from((0, -1, 3, Fraction(-5, 1 << 100))))
+        results = [a, mat_mul(a, b), mat_add(a, c), mat_sub(a, c), mat_sub(a, a),
+                   mat_scale(a, s), -a, mat_transpose(a), *block_extract(a, r),
+                   block_compose(*block_extract(a, r)), block_compose(a, c, a, c),
+                   zeros(m, k), identity(m), partial_identity(m, k, r),
+                   mat_pow(data.draw(grids(m, m)), data.draw(st.integers(0, 3)))]
+        sq = data.draw(grids(m, m))
+        if mat_rank(sq) == m:
+            results.append(mat_inverse(sq))
+        f = full_rank_reduce(a)
+        g = support.second_reduction(a)
+        results += [f.p, f.q, g.p, g.q]
+        for x in results:
+            assert_canonical(x)
+        # equal exactly when shape and Fraction view are equal, with equal hashes
+        for x in results:
+            for y in results:
+                same = (x.shape, x.entries) == (y.shape, y.entries)
+                assert (x == y) == same
+                assert not same or hash(x) == hash(y)
+
+    @given(st.data())
+    def test_equal_values_built_two_ways_are_equal(self, data):
+        m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        a = data.draw(grids(m, n))
+        r = data.draw(st.integers(0, min(m, n)))
+        for same in (mat_mul(a, identity(n)), mat_add(a, zeros(m, n)),
+                     mat_scale(mat_scale(a, Fraction(1 << 150, 3)), Fraction(3, 1 << 150)),
+                     mat_transpose(mat_transpose(a)), block_compose(*block_extract(a, r)),
+                     mat_sub(mat_scale(a, 2), a)):
+            assert same == a and hash(same) == hash(a) and same.entries == a.entries
+
+    def test_zero_size_matrices_are_over_one(self):
+        for a in (zeros(0, 0), zeros(0, 3), zeros(3, 0), RMatrix(2, 0, ((), ())),
+                  mat_mul(zeros(2, 0), zeros(0, 3)), mat_scale(zeros(3, 0), Fraction(1, 7))):
+            assert_canonical(a)
+        assert zeros(0, 3) != zeros(0, 2) and zeros(3, 0) != zeros(2, 0)
