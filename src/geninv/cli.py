@@ -9,6 +9,11 @@ to an aligned table for human eyes.
 Lines break at LF, CRLF or CR only. Exit codes: 0 success, 1 domain error
 (violated precondition) or an output that cannot be written, 2 parse or usage
 error. Diagnostics go to standard error.
+
+One table, ``_COMMANDS``, lists the subcommands: each one's help, its
+handler and its options. The parser is built from it, and ``run`` loads the
+matrix file once and dispatches through it. A block or candidate path given
+as ``''`` is read like any other path, and names no file.
 """
 
 from __future__ import annotations
@@ -120,16 +125,6 @@ def _load(path: str) -> RMatrix:
     return parse_matrix_text(text, filename=path)
 
 
-def _load_opt(args, name: str):
-    path = getattr(args, name, None)
-    return _load(path) if path else None
-
-
-def _no_zero_conflict(args, names) -> None:
-    if getattr(args, "zero", False) and any(getattr(args, n, None) for n in names):
-        raise _UsageError("--zero cannot be combined with explicit block files")
-
-
 def _text(render, value) -> str:
     """render(value); a number past Python's int-to-text limit is a size error."""
     try:
@@ -143,13 +138,9 @@ def _out(mat: RMatrix, args) -> str:
     return _text(pretty_matrix if args.pretty else write_matrix, mat)
 
 
-def _cmd_factor(args) -> str:
-    f = full_rank_reduce(_load(args.matrix))
+def _cmd_factor(a: RMatrix, args) -> str:
+    f = full_rank_reduce(a)
     return f"# P\n{_out(f.p, args)}# Q\n{_out(f.q, args)}# r\n{f.r}\n"
-
-
-def _cmd_pinv(args) -> str:
-    return _out(moore_penrose(_load(args.matrix)), args)
 
 
 # subcommand gN -> ((option, keyword) per free block of rect.gN_inverse, help)
@@ -165,61 +156,60 @@ _G_COMMANDS = {
 }
 
 
-def _cmd_g(args) -> str:
-    blocks, _ = _G_COMMANDS[args.command]
-    _no_zero_conflict(args, [option for option, _ in blocks])
-    # looked up at call time, as a call by name would be, so that a wrapper
-    # installed on geninv.rect (such as perfbench's tracer) sees the call
-    construct = getattr(rect, f"{args.command}_inverse")
-    f = full_rank_reduce(_load(args.matrix))
-    return _out(construct(f, **{kw: _load_opt(args, option) for option, kw in blocks}), args)
+def _no_zero_conflict(args) -> None:
+    if getattr(args, "zero", False) and any(
+            getattr(args, option) is not None for option, _ in _G_COMMANDS[args.command][0]):
+        raise _UsageError("--zero cannot be combined with explicit block files")
 
 
-def _cmd_group(args) -> str:
-    a = _load(args.matrix)
-    x = group_inverse_poly(a) if args.method == "poly" else group_inverse_block(a)
-    return _out(x, args)
+def _cmd_g(a: RMatrix, args) -> str:
+    construct = getattr(rect, f"{args.command}_inverse")  # at call time, as a name would be
+    f = full_rank_reduce(a)
+    blocks = {kw: None if (path := getattr(args, option)) is None else _load(path)
+              for option, kw in _G_COMMANDS[args.command][0]}
+    return _out(construct(f, **blocks), args)
 
 
-def _cmd_drazin(args) -> str:
-    return _out(drazin_inverse(_load(args.matrix)), args)
+def _cmd_group(a: RMatrix, args) -> str:
+    return _out(group_inverse_poly(a) if args.method == "poly" else group_inverse_block(a), args)
 
 
-def _cmd_index(args) -> str:
-    return f"{index_of(_load(args.matrix))}\n"
-
-
-def _cmd_minpoly(args) -> str:
-    return _text(poly_str, minimal_polynomial(_load(args.matrix)).coeffs) + "\n"
-
-
-def _cmd_qpoly(args) -> str:
-    return _text(poly_str, q_polynomial(minimal_polynomial(_load(args.matrix)))) + "\n"
-
-
-def _cmd_ep(args) -> str:
-    return "true\n" if is_ep(_load(args.matrix)) else "false\n"
-
-
-def _cmd_verify(args) -> str:
-    rep = check(_load(args.matrix), _load(args.candidate))
+def _cmd_verify(a: RMatrix, args) -> str:
+    rep = check(a, _load(args.candidate))
     eqs = {"eq1 AXA=A": rep.eq1, "eq2 XAX=X": rep.eq2, "eq3 (AX)^T=AX": rep.eq3,
            "eq4 (XA)^T=XA": rep.eq4, "eq5 AX=XA": rep.eq5, "eq6 A^kXA=A^k": rep.eq6}
     lines = [f"{eq}: {'n/a' if v is None else ('yes' if v else 'no')}" for eq, v in eqs.items()]
     return "\n".join(lines + ["classes: " + (" ".join(rep.classes) or "(none)")]) + "\n"
 
 
-_HANDLERS = {
-    "factor": _cmd_factor,
-    "pinv": _cmd_pinv,
-    **dict.fromkeys(_G_COMMANDS, _cmd_g),
-    "group": _cmd_group,
-    "drazin": _cmd_drazin,
-    "index": _cmd_index,
-    "minpoly": _cmd_minpoly,
-    "qpoly": _cmd_qpoly,
-    "ep": _cmd_ep,
-    "verify": _cmd_verify,
+# subcommand -> (help, handler, *options), in the order help lists them. Every
+# subcommand takes a matrix FILE and --pretty; each further option is (flag,
+# keywords for add_argument). A handler takes the loaded matrix and the parsed
+# arguments and returns the output text. It names the library function it
+# calls, looked up at call time, so that a wrapper installed on a geninv module
+# (such as perfbench's tracer) sees the call.
+_COMMANDS = {
+    "factor": ("full-rank reduction: print P, Q and r", _cmd_factor),
+    "pinv": ("Moore-Penrose inverse", lambda a, args: _out(moore_penrose(a), args)),
+    **{name: (help_, _cmd_g,
+              *[(f"--{option}", {"metavar": "FILE", "help": f"file for free block {option}"})
+                for option, _ in blocks],
+              ("--zero", {"action": "store_true", "help": "use zero free blocks (the default)"}))
+       for name, (blocks, help_) in _G_COMMANDS.items()},
+    "group": ("group inverse (index <= 1)", _cmd_group,
+              ("--method", {"choices": ("poly", "block"), "default": "poly",
+                            "help": "polynomial route or block route (default: poly)"})),
+    "drazin": ("Drazin inverse", lambda a, args: _out(drazin_inverse(a), args)),
+    "index": ("index of a square matrix", lambda a, args: f"{index_of(a)}\n"),
+    "minpoly": ("minimal polynomial of a square matrix",
+                lambda a, args: _text(poly_str, minimal_polynomial(a).coeffs) + "\n"),
+    "qpoly": ("q-polynomial of a square matrix",
+              lambda a, args: _text(poly_str, q_polynomial(minimal_polynomial(a))) + "\n"),
+    "ep": ("report whether a square matrix is EP",
+           lambda a, args: "true\n" if is_ep(a) else "false\n"),
+    "verify": ("check a candidate inverse against the defining equations", _cmd_verify,
+               ("--candidate", {"metavar": "FILE", "required": True,
+                                "help": "file with the candidate inverse X"})),
 }
 
 
@@ -229,33 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Exact generalized matrix inverses over the rationals.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_: str):
+    for name, (help_, _, *options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("matrix", metavar="FILE", help="input matrix file")
         p.add_argument("--pretty", action="store_true",
                        help="print an aligned table instead of MatrixFile text")
-        return p
-
-    add("factor", "full-rank reduction: print P, Q and r")
-    add("pinv", "Moore-Penrose inverse")
-    for name, (blocks, help_) in _G_COMMANDS.items():
-        p = add(name, help_)
-        for option, _ in blocks:
-            p.add_argument(f"--{option}", metavar="FILE", help=f"file for free block {option}")
-        p.add_argument("--zero", action="store_true",
-                       help="use zero free blocks (the default)")
-    g = add("group", "group inverse (index <= 1)")
-    g.add_argument("--method", choices=("poly", "block"), default="poly",
-                   help="polynomial route or block route (default: poly)")
-    add("drazin", "Drazin inverse")
-    add("index", "index of a square matrix")
-    add("minpoly", "minimal polynomial of a square matrix")
-    add("qpoly", "q-polynomial of a square matrix")
-    add("ep", "report whether a square matrix is EP")
-    v = add("verify", "check a candidate inverse against the defining equations")
-    v.add_argument("--candidate", metavar="FILE", required=True,
-                   help="file with the candidate inverse X")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -266,7 +236,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        out = _HANDLERS[args.command](args)
+        _no_zero_conflict(args)  # a usage error, reported before any file is read
+        out = _COMMANDS[args.command][1](_load(args.matrix), args)
     except ParseError as exc:
         print(f"{PROG}: parse error: {exc}", file=sys.stderr)
         return 2

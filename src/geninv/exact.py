@@ -142,7 +142,9 @@ class RMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Rational:
         i, j = key
-        return Fraction(_rows(self)[i][j], self._den)
+        # range() indexes as a tuple does: from the end if negative, IndexError if out
+        return Fraction(self._nums[range(self.rows)[i] * self.cols + range(self.cols)[j]],
+                        self._den)
 
     def __add__(self, other):
         if not isinstance(other, RMatrix):

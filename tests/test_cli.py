@@ -10,7 +10,7 @@ import pytest
 import geninv
 import support
 from geninv import ParseError, mat_mul, partial_identity
-from geninv.cli import parse_matrix_text, pretty_matrix, run, write_matrix
+from geninv.cli import _COMMANDS, parse_matrix_text, pretty_matrix, run, write_matrix
 
 EX1_TEXT = "3 3\n1 2 3\n4 5 6\n7 8 9\n"
 EX1_PINV_TEXT = "3 3\n-23/36 -1/6 11/36\n-1/18 0 1/18\n19/36 1/6 -7/36\n"
@@ -250,6 +250,17 @@ class TestExitCodes:
         assert run(["g1", str(a), "--x1", str(x1)]) == 1
         assert "DimensionMismatch" in capsys.readouterr().err
 
+    def test_empty_block_path_is_a_path(self, ex1_file, capsys):
+        # '' names no file, for a block option as for the matrix or the candidate
+        missing = (2, "", "geninv: [Errno 2] No such file or directory: ''\n")
+        for argv in (["pinv", ""], ["verify", ex1_file, "--candidate", ""],
+                     ["g1", ex1_file, "--x1", ""], ["g2", ex1_file, "--x0", ""],
+                     ["g2", ex1_file, "--f", "", "--g", "missing.rmat"]):
+            assert (run(argv), *capsys.readouterr()) == missing
+        assert run(["g1", ex1_file, "--zero", "--x1", ""]) == 2
+        assert capsys.readouterr() == (
+            "", "geninv: --zero cannot be combined with explicit block files\n")
+
     def test_unknown_command_is_2(self, capsys):
         assert run(["frobnicate", "x"]) == 2
 
@@ -339,6 +350,17 @@ class TestParserReuse:
             code, out, err = self.in_process(capsys, argv)
             assert (code, out, err) == run_fresh(argv)
             assert code == 0 and out.startswith("usage: geninv")
+
+    def test_help_matches_the_committed_text(self, capsys, monkeypatch):
+        # COLUMNS=80 fixes argparse's wrapping; the file lists every subcommand
+        monkeypatch.setenv("COLUMNS", "80")
+        text = []
+        for argv in [["--help"]] + [[name, "--help"] for name in _COMMANDS]:
+            code, out, err = self.in_process(capsys, argv)
+            assert code == 0 and not err
+            text.append(f"$ geninv {' '.join(argv)}\n{out}")
+        golden = Path(__file__).parent / "data" / "cli_help.out"
+        assert "".join(text).encode() == golden.read_bytes()
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-to-text limit")

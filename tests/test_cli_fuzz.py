@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geninv import ParseError, RMatrix
-from geninv.cli import _G_COMMANDS, _load, parse_matrix_text, run, write_matrix
+from geninv.cli import _COMMANDS, _load, parse_matrix_text, run, write_matrix
 
 # ASCII digits, and digits that str.isdigit() or int() would also take
 DIGITS = "0123456789"
@@ -107,12 +107,9 @@ def test_load_gives_a_matrix_or_a_parse_error(matrix_path, data):
     assert isinstance(a, RMatrix)
 
 
-# every subcommand, with the options that name a file (beyond the matrix)
-COMMANDS = {
-    "factor": (), "pinv": (), "drazin": (), "index": (), "minpoly": (),
-    "qpoly": (), "ep": (), "group": (), "verify": ("candidate",),
-    **{name: tuple(option for option, _ in blocks) for name, (blocks, _) in _G_COMMANDS.items()},
-}
+# every subcommand with its options beyond FILE and --pretty, {flag: keywords
+# for add_argument}, read from the CLI's own table
+OPTIONS = {name: dict(options) for name, (_, _, *options) in _COMMANDS.items()}
 LIMIT = sys.get_int_max_str_digits()
 
 
@@ -146,9 +143,11 @@ def matrix_files(draw):
 def invocations(draw):
     """(argv, files): a subcommand line and the files it names, by name. A
     file is matrix text, or None for a directory; a name not in files is
-    missing. Block files take any shape up to 4x4, so some fit their slot,
-    some do not, and some are given for an empty slot."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+    missing. A file option is given when required and otherwise half the
+    time, now and then as ''; a switch half the time; a choice half the time.
+    Block files take any shape up to 4x4, so some fit their slot, some do
+    not, and some are given for an empty slot."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
     files = {}
     path = draw(st.sampled_from(("a.rmat",) * 8 + ("dir.rmat", "missing.rmat")))
     if path == "a.rmat":
@@ -156,15 +155,18 @@ def invocations(draw):
     elif path == "dir.rmat":
         files[path] = None
     argv = [command, path]
-    for option in COMMANDS[command]:
-        if option == "candidate" or draw(st.booleans()):
-            name = f"{option}.rmat"
-            files[name] = draw(matrix_files())
-            argv += [f"--{option}", name]
-    if command in _G_COMMANDS and draw(st.booleans()):
-        argv.append("--zero")
-    if command == "group":
-        argv += ["--method", draw(st.sampled_from(("poly", "block")))]
+    for flag, keywords in OPTIONS[command].items():
+        if keywords.get("metavar") == "FILE":
+            if keywords.get("required") or draw(st.booleans()):
+                name = draw(st.sampled_from((f"{flag[2:]}.rmat",) * 7 + ("",)))
+                if name:
+                    files[name] = draw(matrix_files())
+                argv += [flag, name]
+        elif "choices" in keywords:
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(keywords["choices"]))]
+        elif draw(st.booleans()):
+            argv.append(flag)
     if draw(st.booleans()):
         argv.append("--pretty")
     return argv, files

@@ -422,3 +422,23 @@ class TestCanonicalForm:
                   mat_mul(zeros(2, 0), zeros(0, 3)), mat_scale(zeros(3, 0), Fraction(1, 7))):
             assert_canonical(a)
         assert zeros(0, 3) != zeros(0, 2) and zeros(3, 0) != zeros(2, 0)
+
+
+class TestGetItem:
+    @given(st.data())
+    def test_reads_the_entry_with_tuple_indexing(self, data):
+        m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        a = data.draw(grids(m, n))
+        for i in range(-m, m):
+            for j in range(-n, n):
+                assert a[i, j] == a.entries[i][j]
+                assert type(a[i, j]) is Fraction
+        for i, j in ((m, 0), (-m - 1, 0), (0, n), (0, -n - 1), (m, n)):
+            with pytest.raises(IndexError):
+                a[i, j]
+
+    @pytest.mark.parametrize("a", [zeros(0, 0), zeros(0, 3), zeros(3, 0)])
+    def test_zero_size_has_no_entry(self, a):
+        for i, j in ((0, 0), (-1, -1), (0, 2), (2, 0)):
+            with pytest.raises(IndexError):
+                a[i, j]
