@@ -10,19 +10,17 @@ from .errors import (DimensionMismatch, GenInvError, IndexOutOfRange,
                      IndexTooLarge, InternalInvariantViolation,
                      InvalidFactorization, NotIdempotent, ParseError,
                      SingularMatrix)
-from .exact import (RMatrix, Rational, block_compose, block_extract,
-                    format_rational, identity, mat_add, mat_inverse, mat_mul,
-                    mat_pow, mat_rank, mat_scale, mat_sub, mat_transpose,
-                    parse_rational, partial_identity, zeros)
+from .exact import (RMatrix, Rational, block_compose, block_extract, identity,
+                    mat_add, mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
+                    mat_sub, mat_transpose, partial_identity, zeros)
 from .factorize import (FactoredMatrix, factor_with, full_rank_reduce,
                         verify_factorization)
-from .penrose import PenroseReport, check, classify
+from .penrose import PenroseReport, check
 from .rect import (compute_star_blocks, g1_inverse, g12_inverse, g123_inverse,
                    g124_inverse, g13_inverse, g134_inverse, g14_inverse,
                    g2_inverse, moore_penrose, validate_g2_blocks,
                    validate_g3_blocks, validate_g4_blocks)
-from .square import (MinimalPolynomial, drazin_inverse,
-                     drazin_onecheck, group_blocks,
+from .square import (MinimalPolynomial, drazin_inverse, group_blocks,
                      group_inverse_block, group_inverse_poly, index_of, is_ep,
                      minimal_polynomial, poly_at, poly_str, q_polynomial)
 
@@ -33,15 +31,14 @@ __all__ = [
     "IndexTooLarge", "InternalInvariantViolation", "InvalidFactorization",
     "MinimalPolynomial", "NotIdempotent", "ParseError", "PenroseReport",
     "RMatrix", "Rational", "SingularMatrix",
-    "block_compose", "block_extract", "check",
-    "classify", "compute_star_blocks", "drazin_inverse", "drazin_onecheck",
-    "factor_with", "format_rational", "full_rank_reduce", "g1_inverse",
+    "block_compose", "block_extract", "check", "compute_star_blocks",
+    "drazin_inverse", "factor_with", "full_rank_reduce", "g1_inverse",
     "g12_inverse", "g123_inverse", "g124_inverse", "g13_inverse",
     "g134_inverse", "g14_inverse", "g2_inverse", "group_blocks",
     "group_inverse_block", "group_inverse_poly", "identity", "index_of",
     "is_ep", "mat_add", "mat_inverse", "mat_mul", "mat_pow", "mat_rank",
     "mat_scale", "mat_sub", "mat_transpose", "minimal_polynomial",
-    "moore_penrose", "parse_rational", "partial_identity", "poly_at",
-    "poly_str", "q_polynomial", "validate_g2_blocks", "validate_g3_blocks",
-    "validate_g4_blocks", "verify_factorization", "zeros",
+    "moore_penrose", "partial_identity", "poly_at", "poly_str", "q_polynomial",
+    "validate_g2_blocks", "validate_g3_blocks", "validate_g4_blocks",
+    "verify_factorization", "zeros",
 ]

@@ -2,9 +2,11 @@
 
 Matrix files hold a header line ``m n`` followed by m rows of n
 whitespace-separated rationals (``-7/36``, ``3``, ``0``); lines starting
-with ``#`` are comments. Output matrices use the same format in canonical
-form: lowest terms, single spaces, LF line endings. ``--pretty`` switches
-to an aligned table for human eyes.
+with ``#`` are comments. An entry is an optional sign, ASCII digits and an
+optional ``/`` and ASCII digits, read straight into an integer numerator and
+denominator. Output matrices use the same format in canonical form: lowest
+terms, single spaces, LF line endings. ``--pretty`` switches to an aligned
+table for human eyes.
 
 Lines break at LF, CRLF or CR only. Exit codes: 0 success, 1 domain error
 (violated precondition) or an output that cannot be written, 2 parse or usage
@@ -24,9 +26,10 @@ import os
 import re
 import sys
 from functools import cache
+from math import lcm
 
 from .errors import GenInvError, ParseError
-from .exact import RMatrix, _from_grid, format_rational, parse_rational
+from .exact import RMatrix, _make, _texts
 from .factorize import full_rank_reduce
 from .penrose import check
 from . import rect
@@ -38,6 +41,8 @@ PROG = "geninv"
 
 _TOKEN_RE = re.compile(r"\S+")
 _COUNT_RE = re.compile(r"[0-9]+\Z")  # ASCII only, as in entries: str.isdigit() takes "²"
+# an entry: its signed numerator, the numerator's digits, its denominator's digits
+_ENTRY_RE = re.compile(r"([+-]?([0-9]+))(?:/([0-9]+))?\Z")
 # a line and its break, which is LF, CRLF or CR only: str.splitlines() also
 # breaks at form feed, U+0085, U+2028 and other characters inside a line
 _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
@@ -46,8 +51,10 @@ _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
     """Parse MatrixFile text; raises ParseError with line/column on bad input."""
     header = None
-    data_rows: list[tuple] = []
-    last_line = 0
+    nums: list[int] = []
+    dens: list[int] = []
+    rows = last_line = 0
+    limit = sys.get_int_max_str_digits()
     for lineno, raw in enumerate(_LINE_RE.findall(text), start=1):
         last_line = lineno
         stripped = raw.strip()
@@ -58,7 +65,6 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
             if len(counts) != 2 or not all(_COUNT_RE.match(c.group()) for c in counts):
                 raise ParseError("header must be two counts: m n",
                                  filename=filename, line=lineno, column=1)
-            limit = sys.get_int_max_str_digits()
             for c in counts:
                 if limit and len(c.group()) > limit:
                     raise ParseError(f"count has more than {limit} digits", filename=filename,
@@ -69,34 +75,41 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
                                  filename=filename, line=lineno, column=1)
             header = (m, n)
             continue
-        if len(data_rows) == header[0]:
+        if rows == header[0]:
             raise ParseError("unexpected content after the last matrix row",
                              filename=filename, line=lineno, column=1)
         tokens = list(_TOKEN_RE.finditer(raw))
         if len(tokens) != header[1]:
             raise ParseError(f"expected {header[1]} entries, found {len(tokens)}",
                              filename=filename, line=lineno, column=1)
-        values = []
         for tok in tokens:
-            try:
-                values.append(parse_rational(tok.group()))
-            except ValueError as exc:
-                raise ParseError(str(exc), filename=filename, line=lineno,
-                                 column=tok.start() + 1) from exc
-        data_rows.append(tuple(values))
+            token = tok.group()
+            entry = _ENTRY_RE.match(token)
+            if entry is None:
+                error = f"invalid rational token {token!r}"
+            elif entry[3] and not entry[3].strip("0"):
+                error = f"zero denominator in {token!r}"
+            elif limit and max(len(entry[2]), len(entry[3] or "")) > limit:
+                error = f"entry has more than {limit} digits"
+            else:
+                nums.append(int(entry[1]))
+                dens.append(int(entry[3] or 1))
+                continue
+            raise ParseError(error, filename=filename, line=lineno, column=tok.start() + 1)
+        rows += 1
     if header is None:
         raise ParseError("empty input: missing m n header",
                          filename=filename, line=max(last_line, 1), column=1)
-    if len(data_rows) != header[0]:
-        raise ParseError(f"expected {header[0]} matrix rows, found {len(data_rows)}",
+    if rows != header[0]:
+        raise ParseError(f"expected {header[0]} matrix rows, found {rows}",
                          filename=filename, line=max(last_line, 1), column=1)
-    return _from_grid(header[0], header[1], data_rows)
+    den = lcm(*dens)
+    return _make(header[0], header[1], [x * (den // d) for x, d in zip(nums, dens)], den)
 
 
 def write_matrix(a: RMatrix) -> str:
     """Canonical MatrixFile text (round-trips byte-identically through the parser)."""
-    lines = [f"{a.rows} {a.cols}"]
-    lines += [" ".join(format_rational(v) for v in row) for row in a.entries]
+    lines = [f"{a.rows} {a.cols}"] + [" ".join(row) for row in _texts(a)]
     return "\n".join(lines) + "\n"
 
 

@@ -22,12 +22,14 @@ Rank, inverse and the full-rank reduction share one elimination,
 arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel
 the row's common factor. ``square``'s minimal-polynomial scan reduces its
 rows with ``_eliminate`` too.
+
+Text is written from the grid as well: ``_texts`` renders each entry with
+one gcd against the denominator, and ``str``, ``repr`` and the CLI's
+MatrixFile writer use it. MatrixFile text is read in ``cli``.
 """
 
 from __future__ import annotations
 
-import re
-import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -37,29 +39,6 @@ from typing import Sequence
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
 Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
-
-
-def parse_rational(token: str) -> Rational:
-    """Parse ``-7/36``, ``3`` or ``0``: optional sign, integer, optional /denominator.
-
-    A part past ``sys.get_int_max_str_digits()`` digits is rejected with that
-    limit stated, not with Python's advice to raise it."""
-    if not _RATIONAL_RE.match(token):
-        raise ValueError(f"invalid rational token {token!r}")
-    num, slash, den = token.lstrip("+-").partition("/")
-    if slash and not den.strip("0"):
-        raise ValueError(f"zero denominator in {token!r}")
-    limit = sys.get_int_max_str_digits()
-    if limit and max(len(num), len(den)) > limit:
-        raise ValueError(f"entry has more than {limit} digits")
-    return Fraction(token)
-
-
-def format_rational(x: Rational) -> str:
-    """Canonical text form: lowest terms, sign on the numerator, ``/`` only if needed."""
-    return str(x)
 
 
 def _exact(v):
@@ -172,11 +151,11 @@ class RMatrix:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        body = " ".join("[" + " ".join(str(v) for v in row) + "]" for row in self.entries)
+        body = " ".join("[" + " ".join(row) + "]" for row in _texts(self))
         return f"RMatrix({self.rows}x{self.cols} {body})"
 
     def __str__(self) -> str:
-        cells = [[str(v) for v in row] for row in self.entries]
+        cells = _texts(self)
         widths = [max((len(row[j]) for row in cells), default=0) for j in range(self.cols)]
         return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
@@ -227,6 +206,19 @@ def _rows(a: RMatrix) -> tuple[tuple[int, ...], ...]:
     """The numerators of a, row by row."""
     c = a.cols
     return tuple([a._nums[i * c:(i + 1) * c] for i in range(a.rows)])
+
+
+def _texts(a: RMatrix) -> list[list[str]]:
+    """The text of each entry of a, row by row, as ``str`` writes its
+    ``Fraction``: lowest terms, the sign on the numerator, and ``/den`` only
+    if den is not 1. A number past Python's int-to-text limit raises ValueError."""
+    den = a._den
+
+    def text(x):
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+    return [[text(x) for x in row] for row in _rows(a)]
 
 
 def _check_shape(rows: int, cols: int) -> None:

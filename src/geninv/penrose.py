@@ -74,7 +74,3 @@ def check(a: RMatrix, x: RMatrix) -> PenroseReport:
         eq5 = eq6 = None
     return PenroseReport(eq1, eq2, eq3, eq4, eq5, eq6, _labels(eq1, eq2, eq3, eq4, eq5, eq6))
 
-
-def classify(report: PenroseReport) -> list[str]:
-    """Class labels implied by the report's booleans (not-applicable counts as unsatisfied)."""
-    return list(_labels(report.eq1, report.eq2, report.eq3, report.eq4, report.eq5, report.eq6))

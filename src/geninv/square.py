@@ -225,11 +225,6 @@ def drazin_inverse(a: RMatrix) -> RMatrix:
     return _drazin(mu, powers)
 
 
-def drazin_onecheck(a: RMatrix) -> bool:
-    """Whether A*A^D*A = A; this holds exactly when the index is at most 1."""
-    return mat_mul(mat_mul(a, drazin_inverse(a)), a) == a
-
-
 def is_ep(a: RMatrix) -> bool:
     """Whether A is EP, A^+ = A^D: exactly when A and At have the same null
     space, that is when rank([A; At]) = rank(A)."""

@@ -7,9 +7,9 @@ import random
 from hypothesis import strategies as st
 
 from geninv import (FactoredMatrix, InternalInvariantViolation, MinimalPolynomial, RMatrix,
-                    SingularMatrix, compute_star_blocks, factor_with, full_rank_reduce,
-                    g12_inverse, identity, mat_inverse, mat_mul, mat_rank, mat_scale,
-                    mat_transpose)
+                    SingularMatrix, compute_star_blocks, drazin_inverse, factor_with,
+                    full_rank_reduce, g12_inverse, identity, mat_inverse, mat_mul, mat_rank,
+                    mat_scale, mat_transpose)
 
 # 3x3 rank-2 matrix used by the first two worked examples.
 EX1 = RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -60,6 +60,11 @@ EX3_QP = RMatrix.from_rows([
 ])
 
 NILPOTENT_2 = RMatrix.from_rows([[0, 1], [0, 0]])
+
+
+def drazin_onecheck(a: RMatrix) -> bool:
+    """Whether A*A^D*A = A; this holds exactly when the index is at most 1."""
+    return mat_mul(mat_mul(a, drazin_inverse(a)), a) == a
 
 
 def rand_rational(rng: random.Random) -> Fraction:

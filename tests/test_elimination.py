@@ -17,6 +17,7 @@ import support
 from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, full_rank_reduce, identity,
                     mat_inverse, mat_mul, mat_rank, minimal_polynomial, moore_penrose, poly_at,
                     q_polynomial, zeros)
+from geninv.cli import parse_matrix_text, write_matrix
 from geninv.square import _combine
 
 BIG = 1 << 200
@@ -205,8 +206,9 @@ def test_scan_and_combine_make_no_fraction_arithmetic(monkeypatch):
 
 
 def test_kernels_make_no_fraction(monkeypatch):
-    # the reduction, the inverse, the pseudoinverse and check make no Fraction;
-    # the Drazin inverse makes mu's and q's coefficients and nothing else
+    # the reduction, the inverse, the pseudoinverse, check and MatrixFile text
+    # both ways make no Fraction; the Drazin inverse makes mu's and q's
+    # coefficients and nothing else
     rng = random.Random(41)
     a = mat_mul(support.rand_matrix(rng, 5, 3), support.rand_matrix(rng, 3, 6))
     b = support.rand_invertible(rng, 5)
@@ -218,6 +220,9 @@ def test_kernels_make_no_fraction(monkeypatch):
     inverse = mat_inverse(b)
     x = moore_penrose(a)
     report = check(a, x)
+    text = write_matrix(x)
+    again = parse_matrix_text(text)
+    pretty = str(x)
     assert calls == Counter()
     d = drazin_inverse(s)
     drazin_calls = +calls
@@ -226,4 +231,5 @@ def test_kernels_make_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert drazin_calls == Counter({"__new__": len(mu.coeffs) + len(q)})
     assert f.r == 3 and "MP" in report.classes and mat_mul(inverse, b) == identity(5)
+    assert again == x and pretty.split() == text.split()[2:]
     assert mu.index == 2 and "Drazin" in report_d.classes

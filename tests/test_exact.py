@@ -1,5 +1,6 @@
 """Exact scalar/matrix core: arithmetic, rank, inverse, block split/compose."""
 
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -9,33 +10,65 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from geninv import (DimensionMismatch, IndexOutOfRange, RMatrix,
+from geninv import (DimensionMismatch, IndexOutOfRange, ParseError, RMatrix,
                     SingularMatrix, block_compose, block_extract, exact,
-                    format_rational, full_rank_reduce, identity, mat_add, mat_inverse,
+                    full_rank_reduce, identity, mat_add, mat_inverse,
                     mat_mul, mat_pow, mat_rank, mat_scale, mat_sub, mat_transpose,
-                    parse_rational, partial_identity, zeros)
+                    partial_identity, zeros)
+from geninv.cli import parse_matrix_text, write_matrix
 from support import rand_invertible, rationals, rmatrices
+
+LIMIT = sys.get_int_max_str_digits()
+OVER_LIMIT = pytest.mark.skipif(LIMIT == 0, reason="no int-to-text limit")
+
+
+def with_entry(text):
+    """MatrixFile text of one row, ``1 text 2``; text starts at column 3."""
+    return f"1 3\n1 {text} 2\n"
+
+
+# (text, error, column) with text in place of the middle entry of with_entry
+INVALID_ENTRIES = [
+    *[(t, f"invalid rational token {t!r}", 3)
+      for t in ("1.5", "3/-4", "a", "1/2/3", "1e2", "/3", "3/", "\u0663")],
+    ("1/0", "zero denominator in '1/0'", 3),
+    ("0/00", "zero denominator in '0/00'", 3),
+    # not one token: the row is an entry short, or one long
+    ("", "expected 3 entries, found 2", 1),
+    ("- 1", "expected 3 entries, found 4", 1),
+]
 
 
 class TestParseRational:
+    """The grammar of one MatrixFile entry, as ``parse_matrix_text`` reads it."""
+
     @pytest.mark.parametrize("text,expected", [
         ("-7/36", Fraction(-7, 36)),
         ("3", Fraction(3)),
         ("0", Fraction(0)),
         ("+5", Fraction(5)),
         ("10/4", Fraction(5, 2)),
+        ("-0", Fraction(0)),
+        ("+0/7", Fraction(0)),
+        ("0005/0010", Fraction(1, 2)),
     ])
     def test_valid(self, text, expected):
-        assert parse_rational(text) == expected
+        assert parse_matrix_text(with_entry(text)) == RMatrix.from_rows([[1, expected, 2]])
 
-    @pytest.mark.parametrize("text", ["1.5", "1/0", "3/-4", "a", "", "1/2/3", "1e2", "- 1"])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError):
-            parse_rational(text)
+    @pytest.mark.parametrize("text,error,column", [
+        pytest.param(*case, id=case[0]) for case in INVALID_ENTRIES] + [
+        pytest.param(text, f"entry has more than {LIMIT} digits", 3, id=name, marks=OVER_LIMIT)
+        for name, text in [("long-numerator", "-" + "7" * (LIMIT + 1)),
+                           ("long-denominator", "1/" + "0" * LIMIT + "7")]])
+    def test_invalid(self, text, error, column):
+        with pytest.raises(ParseError) as err:
+            parse_matrix_text(with_entry(text))
+        assert (err.value.message, err.value.line, err.value.column) == (error, 2, column)
 
     @given(rationals())
     def test_round_trip(self, x):
-        assert parse_rational(format_rational(x)) == x
+        text = write_matrix(RMatrix.from_rows([[x]]))
+        assert text == f"1 1\n{x}\n" and parse_matrix_text(text)[0, 0] == x
 
 
 class TestArithmetic:
@@ -339,11 +372,9 @@ class TestExactness:
 
 class TestFromRowsText:
     def test_zero_denominator_is_a_value_error(self):
-        with pytest.raises(ValueError) as got:
-            parse_rational("1/0")
         with pytest.raises(ValueError) as from_rows:
             RMatrix.from_rows([["1/0"]])
-        assert str(from_rows.value) == str(got.value) == "zero denominator in '1/0'"
+        assert str(from_rows.value) == "zero denominator in '1/0'"
 
     def test_text_that_fraction_reads_keeps_its_value(self):
         a = RMatrix.from_rows([["1.5", " 2 ", "-7/36", "1e2", "10/4"]])
@@ -442,3 +473,27 @@ class TestGetItem:
         for i, j in ((0, 0), (-1, -1), (0, 2), (2, 0)):
             with pytest.raises(IndexError):
                 a[i, j]
+
+
+class TestText:
+    """``str``, ``repr`` and the MatrixFile writer render each entry as ``str``
+    renders its ``Fraction``; the reference below builds them from ``entries``."""
+
+    @given(st.data())
+    def test_text_is_fraction_str(self, data):
+        m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        a = data.draw(grids(m, n))
+        cells = [[str(v) for v in row] for row in a.entries]
+        widths = [max((len(row[j]) for row in cells), default=0) for j in range(n)]
+        assert str(a) == "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths))
+                                   for row in cells)
+        body = " ".join("[" + " ".join(row) + "]" for row in cells)
+        assert repr(a) == f"RMatrix({m}x{n} {body})"
+        assert write_matrix(a) == "\n".join([f"{m} {n}"] + [" ".join(row) for row in cells]) + "\n"
+
+    @pytest.mark.parametrize("a,text,shown", [
+        (zeros(0, 0), "", "RMatrix(0x0 )"), (zeros(0, 3), "", "RMatrix(0x3 )"),
+        (zeros(3, 0), "\n\n", "RMatrix(3x0 [] [] [])"),
+    ], ids=["0x0", "0x3", "3x0"])
+    def test_zero_size_text(self, a, text, shown):
+        assert (str(a), repr(a)) == (text, shown)

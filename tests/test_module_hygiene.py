@@ -70,3 +70,40 @@ def test_public_definitions_are_exported():
                     and obj.__module__ == module.__name__ and name not in geninv.__all__):
                 missing.add(f"{module_name}.{name}")
     assert missing == set()
+
+
+# public names with no caller in the library, scripts/ or perfbench/, each kept on purpose
+UNREFERENCED_ON_PURPOSE = {
+    "validate_g2_blocks": "the paper's block conditions for a {2}-inverse, checked from outside",
+    "validate_g3_blocks": "the paper's block conditions for a {1,3}-inverse, checked from outside",
+    "validate_g4_blocks": "the paper's block conditions for a {1,4}-inverse, checked from outside",
+}
+
+
+def names_used(path):
+    """The names path reads, as a name, an attribute or a string constant such
+    as perfbench's tracer lists, each with the names whose definition it is in."""
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            yield node.id, inside
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, inside
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, inside
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, inside)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only the tests call is a test helper; it belongs in tests/
+    root = SRC.parent.parent
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    assert len(paths) >= 10
+    used = {name for path in paths for name, inside in names_used(path) if name not in inside}
+    unused = set(geninv.__all__) - used
+    assert unused == set(UNREFERENCED_ON_PURPOSE)

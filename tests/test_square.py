@@ -10,13 +10,13 @@ from hypothesis import given
 import support
 from geninv import (DimensionMismatch, IndexTooLarge, MinimalPolynomial, RMatrix,
                     check, factor_with, full_rank_reduce, group_blocks, drazin_inverse,
-                    drazin_onecheck, group_inverse_block, group_inverse_poly,
-                    identity, index_of, is_ep, mat_add, mat_inverse, mat_mul,
+                    group_inverse_block, group_inverse_poly, identity, index_of, is_ep,
+                    mat_add, mat_inverse, mat_mul,
                     mat_pow, mat_rank, mat_scale, minimal_polynomial,
                     moore_penrose, poly_at, poly_str, q_polynomial,
                     square, zeros)
-from support import (NILPOTENT_2, rand_index_one_singular, rand_invertible,
-                     rand_matrix, rand_nilpotent, rand_symmetric_singular,
+from support import (NILPOTENT_2, drazin_onecheck, rand_index_one_singular,
+                     rand_invertible, rand_matrix, rand_nilpotent, rand_symmetric_singular,
                      rand_with_index, rmatrices, second_reduction)
 
 
