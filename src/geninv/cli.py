@@ -90,6 +90,7 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
             elif entry[3] and not entry[3].strip("0"):
                 error = f"zero denominator in {token!r}"
             elif limit and max(len(entry[2]), len(entry[3] or "")) > limit:
+                # stated here, not as int()'s advice to raise the limit
                 error = f"entry has more than {limit} digits"
             else:
                 nums.append(int(entry[1]))
