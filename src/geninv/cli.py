@@ -26,10 +26,9 @@ import os
 import re
 import sys
 from functools import cache
-from math import lcm
 
 from .errors import GenInvError, ParseError
-from .exact import RMatrix, _make, _texts
+from .exact import RMatrix, _over_lcm, _texts
 from .factorize import full_rank_reduce
 from .penrose import check
 from . import rect
@@ -51,8 +50,7 @@ _LINE_RE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
     """Parse MatrixFile text; raises ParseError with line/column on bad input."""
     header = None
-    nums: list[int] = []
-    dens: list[int] = []
+    parts: list[tuple[tuple[int], int]] = []
     rows = last_line = 0
     limit = sys.get_int_max_str_digits()
     for lineno, raw in enumerate(_LINE_RE.findall(text), start=1):
@@ -93,8 +91,7 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
                 # stated here, not as int()'s advice to raise the limit
                 error = f"entry has more than {limit} digits"
             else:
-                nums.append(int(entry[1]))
-                dens.append(int(entry[3] or 1))
+                parts.append(((int(entry[1]),), int(entry[3] or 1)))
                 continue
             raise ParseError(error, filename=filename, line=lineno, column=tok.start() + 1)
         rows += 1
@@ -104,8 +101,7 @@ def parse_matrix_text(text: str, filename: str = "<input>") -> RMatrix:
     if rows != header[0]:
         raise ParseError(f"expected {header[0]} matrix rows, found {rows}",
                          filename=filename, line=max(last_line, 1), column=1)
-    den = lcm(*dens)
-    return _make(header[0], header[1], [x * (den // d) for x, d in zip(nums, dens)], den)
+    return _over_lcm(header[0], header[1], parts)
 
 
 def write_matrix(a: RMatrix) -> str:

@@ -15,7 +15,11 @@ read.
 Every kernel works on the integer grid and makes no ``Fraction``: a product
 entry is one integer dot product over the product of the two denominators,
 a sum puts both grids over the lcm of theirs, and the only normalisation is
-one gcd over the result's grid.
+one gcd over the result's grid. Every other matrix made of parts over several
+denominators (a grid of ``Fraction``s, MatrixFile entries, the rows an
+elimination leaves, ``block_compose``'s blocks, ``square``'s stacked powers)
+is put over the lcm of theirs by one builder, ``_over_lcm``: a sum adds where
+those concatenate. No other module takes an lcm.
 
 Rank, inverse and the full-rank reduction share one elimination,
 ``_echelon``, on rows of integer numerators over a denominator. Its only
@@ -54,6 +58,13 @@ def _exact(v):
         raise ValueError(f"zero denominator in {v!r}") from None
 
 
+def _not_text(seq, what: str):
+    """seq, unless it is text or bytes, which would iterate as characters or byte values."""
+    if isinstance(seq, (str, bytes, bytearray)):
+        raise TypeError(f"{what} must be a sequence, not {type(seq).__name__}")
+    return seq
+
+
 class RMatrix:
     """Immutable dense matrix of rationals.
 
@@ -82,8 +93,10 @@ class RMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RMatrix":
-        """Build from nested sequences; entries may be int, Fraction or text like ``-7/36``."""
-        grid = [[_exact(v) for v in row] for row in rows]
+        """Build from nested sequences; entries may be int, Fraction or text like
+        ``-7/36``. A row, or the whole argument, given as text or bytes is
+        refused rather than split into characters."""
+        grid = [[_exact(v) for v in _not_text(row, "a row")] for row in _not_text(rows, "rows")]
         if not grid or not grid[0]:
             raise ValueError("matrix must be at least 1x1")
         if any(len(row) != len(grid[0]) for row in grid):
@@ -188,18 +201,17 @@ def _make(rows: int, cols: int, nums, den: int) -> RMatrix:
     return m
 
 
+def _over_lcm(rows: int, cols: int, parts) -> RMatrix:
+    """The rows x cols matrix whose row-major entries are nums / d for each
+    (nums, d) of parts in turn, d != 0, all put over the lcm of the d."""
+    den = lcm(*[d for _, d in parts])
+    return _make(rows, cols, [x * (den // d) for nums, d in parts for x in nums], den)
+
+
 def _from_grid(rows: int, cols: int, grid) -> RMatrix:
     """The matrix of a grid of ints and ``Fraction``s, read through their
-    numerators and denominators and put over the lcm of the denominators."""
-    den = lcm(*[v.denominator for row in grid for v in row])
-    return _make(rows, cols, [v.numerator * (den // v.denominator)
-                              for row in grid for v in row], den)
-
-
-def _from_divided_rows(rows, cols: int) -> RMatrix:
-    """The matrix with row i equal to nums / d for the i-th (nums, d) of rows, d != 0."""
-    den = lcm(*[d for _, d in rows])
-    return _make(len(rows), cols, [x * (den // d) for nums, d in rows for x in nums], den)
+    numerators and denominators."""
+    return _over_lcm(rows, cols, [((v.numerator,), v.denominator) for row in grid for v in row])
 
 
 def _rows(a: RMatrix) -> tuple[tuple[int, ...], ...]:
@@ -365,7 +377,7 @@ def _solve(rows) -> RMatrix:
     out = [()] * n
     for t, (nums, _) in enumerate(rows):  # row t of (A*Pi)^-1 * B is row cols[t] of A^-1 * B
         out[cols[t]] = (nums[n:], nums[t])
-    return _from_divided_rows(out, width)
+    return _over_lcm(n, width, out)
 
 
 def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix:
@@ -376,16 +388,12 @@ def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix
                                 (x1.cols, x3.cols, "right block widths")):
         if first != second:
             raise DimensionMismatch(f"inconsistent {what}: {first} vs {second}")
-    den = lcm(x0._den, x1._den, x2._den, x3._den)
 
-    def over_den(x):
-        f = den // x._den
-        return [[f * v for v in row] for row in _rows(x)]
+    def segments(left, right):
+        return [part for lrow, rrow in zip(_rows(left), _rows(right))
+                for part in ((lrow, left._den), (rrow, right._den))]
 
-    nums = [v for left, right in chain(zip(over_den(x0), over_den(x1)),
-                                       zip(over_den(x2), over_den(x3)))
-            for v in left + right]
-    return _make(x0.rows + x2.rows, x0.cols + x1.cols, nums, den)
+    return _over_lcm(x0.rows + x2.rows, x0.cols + x1.cols, segments(x0, x1) + segments(x2, x3))
 
 
 def block_extract(a: RMatrix, r: int) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:

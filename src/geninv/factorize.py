@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidFactorization
-from .exact import (RMatrix, _echelon, _from_divided_rows, _make, _rows, _solve, _unit, mat_mul,
-                    mat_rank, partial_identity)
+from .exact import (RMatrix, _echelon, _make, _over_lcm, _rows, _solve, _unit, mat_mul, mat_rank,
+                    partial_identity)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ def full_rank_reduce(a: RMatrix) -> FactoredMatrix:
     """
     m, n, den = a.rows, a.cols, a._den
     r, rows, cols = _echelon([([*row, *_unit(i, m, den)], den) for i, row in enumerate(_rows(a))], n)
-    q = _from_divided_rows([(nums[n:], nums[t] if t < r else d)
-                            for t, (nums, d) in enumerate(rows)], m)
+    q = _over_lcm(m, m, [(nums[n:], nums[t] if t < r else d) for t, (nums, d) in enumerate(rows)])
     # row t < r of [[U1, U2], [0, I] | I] times its pivot: numerators, then pivot at t
     u_inv = _solve([([*rows[t][0][:n], *_unit(t, n, rows[t][0][t])], 1) if t < r
                     else ([*_unit(t, n), *_unit(t, n)], 1) for t in range(n)])

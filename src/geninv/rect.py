@@ -19,13 +19,19 @@ and P their trailing blocks S4, T4 are regular, which the tests assert rather
 than every call, and the canonical choices -S2*S4^-1 and -T4^-1*T3 make A*X
 respectively X*A symmetric. A constructor pinned on one side only ({1,3},
 {1,2,3}, {1,4}, {1,2,4}) forms only that side's Gram matrix.
+
+The validators take f and a candidate's blocks; the {3}- and {4}-validators
+form the Q*Qt or Pt*P split from f. Each returns the paper's block condition
+alone and forms no X: that it matches X*A*X = X, or the symmetry of A*X or
+X*A, is the paper's theorem for a reduction of A, which the tests assert
+against ``penrose.check``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import DimensionMismatch, InternalInvariantViolation, NotIdempotent
+from .errors import DimensionMismatch, NotIdempotent
 from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
@@ -61,11 +67,6 @@ def _check_params(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix
             raise DimensionMismatch(f"x{i} must be a {rows}x{cols} matrix")
 
 
-def _assemble(f: FactoredMatrix, x0: RMatrix, x1: RMatrix, x2: RMatrix,
-              x3: RMatrix) -> RMatrix:
-    return mat_mul(mat_mul(f.p, block_compose(x0, x1, x2, x3)), f.q)
-
-
 def _left(f: FactoredMatrix, x2: RMatrix) -> RMatrix:
     """P*[I; x2], the n x r left factor of a {2}-type inverse."""
     return mat_mul(f.p, block_compose(identity(f.r), zeros(f.r, 0), x2, zeros(f.n - f.r, 0)))
@@ -94,7 +95,7 @@ def g1_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None, x2: Optional[RMa
     x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
     x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
     x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
-    return _assemble(f, identity(f.r), x1, x2, x3)
+    return mat_mul(mat_mul(f.p, block_compose(identity(f.r), x1, x2, x3)), f.q)
 
 
 def g2_inverse(f: FactoredMatrix, x0: Optional[RMatrix] = None,
@@ -112,17 +113,11 @@ def g2_inverse(f: FactoredMatrix, x0: Optional[RMatrix] = None,
 
 def validate_g2_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
     """True iff the {2}-block conditions hold for b = (x0, x1, x2, x3): x0
-    idempotent, x0*x1 = x1, x2*x0 = x2 and x2*x1 = x3. Also confirmed
-    against X*A*X = X directly."""
+    idempotent, x0*x1 = x1, x2*x0 = x2 and x2*x1 = x3."""
     _check_params(f, b)
     x0, x1, x2, x3 = b
-    cond = (mat_mul(x0, x0) == x0 and mat_mul(x0, x1) == x1
+    return (mat_mul(x0, x0) == x0 and mat_mul(x0, x1) == x1
             and mat_mul(x2, x0) == x2 and mat_mul(x2, x1) == x3)
-    x = _assemble(f, x0, x1, x2, x3)
-    direct = mat_mul(mat_mul(x, f.a), x) == x
-    if cond != direct:
-        raise InternalInvariantViolation("{2}-block conditions disagree with X*A*X = X")
-    return cond
 
 
 def g12_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
@@ -134,25 +129,17 @@ def g12_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
     return mat_mul(_left(f, x2), _right(f, x1))
 
 
-def validate_g3_blocks(f: FactoredMatrix, sq: tuple[RMatrix, RMatrix, RMatrix, RMatrix],
-                       b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
-    """True iff the {3}-block conditions hold for b = (x0, x1, x2, x3) and the
-    Q*Qt split sq: W*x0t = x0*W for the Schur-type matrix
-    W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1. Also confirmed against
-    symmetry of A*X directly."""
+def validate_g3_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
+    """True iff the {3}-block conditions hold for b = (x0, x1, x2, x3) and
+    the split (S1, S2, S3, S4) of Q*Qt: W*x0t = x0*W for the Schur-type matrix
+    W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1."""
     _check_params(f, b)
-    x0, x1, x2, x3 = b
+    x0, x1, _, _ = b
+    sq = _gram_split(f.q, f.r)
     s1, s2, _, _ = sq
     x1f = _star_x1(sq)
     w = mat_add(s1, mat_mul(x1f, mat_transpose(s2)))
-    cond = (mat_mul(w, mat_transpose(x0)) == mat_mul(x0, w)
-            and x1 == mat_mul(x0, x1f))
-    x = _assemble(f, x0, x1, x2, x3)
-    ax = mat_mul(f.a, x)
-    direct = mat_transpose(ax) == ax
-    if cond != direct:
-        raise InternalInvariantViolation("{3}-block conditions disagree with (A*X)t = A*X")
-    return cond
+    return mat_mul(w, mat_transpose(x0)) == mat_mul(x0, w) and x1 == mat_mul(x0, x1f)
 
 
 def g13_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None,
@@ -166,24 +153,16 @@ def g123_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None) -> RMatrix:
     return g12_inverse(f, _star_x1(_gram_split(f.q, f.r)), x2)
 
 
-def validate_g4_blocks(f: FactoredMatrix, sp: tuple[RMatrix, RMatrix, RMatrix, RMatrix],
-                       b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
-    """Mirror of the {3}-validator for the Pt*P split sp: x0t*W = W*x0 for
-    W = T1 - T2*T4^-1*T2t and x2 = -T4^-1*T3*x0, confirmed against symmetry
-    of X*A directly."""
+def validate_g4_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
+    """Mirror of the {3}-validator for the split (T1, T2, T3, T4) of Pt*P:
+    x0t*W = W*x0 for W = T1 - T2*T4^-1*T2t and x2 = -T4^-1*T3*x0."""
     _check_params(f, b)
-    x0, x1, x2, x3 = b
+    x0, _, x2, _ = b
+    sp = _gram_split(mat_transpose(f.p), f.r)
     t1, t2, _, _ = sp
     x2f = _star_x2(sp)
     w = mat_add(t1, mat_mul(t2, x2f))
-    cond = (mat_mul(mat_transpose(x0), w) == mat_mul(w, x0)
-            and x2 == mat_mul(x2f, x0))
-    x = _assemble(f, x0, x1, x2, x3)
-    xa = mat_mul(x, f.a)
-    direct = mat_transpose(xa) == xa
-    if cond != direct:
-        raise InternalInvariantViolation("{4}-block conditions disagree with (X*A)t = X*A")
-    return cond
+    return mat_mul(mat_transpose(x0), w) == mat_mul(w, x0) and x2 == mat_mul(x2f, x0)
 
 
 def g14_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation, SingularMatrix
-from .exact import (RMatrix, _eliminate, _from_grid, _make, _unit, block_compose, block_extract,
-                    identity, mat_add, mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
-                    mat_transpose, zeros)
+from .exact import (RMatrix, _eliminate, _from_grid, _make, _over_lcm, _unit, block_compose,
+                    block_extract, identity, mat_add, mat_inverse, mat_mul, mat_pow, mat_rank,
+                    mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
 from .rect import g12_inverse
 
@@ -114,8 +113,7 @@ def _combine(coeffs, powers: list[RMatrix]) -> RMatrix:
     A^0 .. A^(d-1) from ``powers``, put over the lcm of their denominators and
     read back as n x n."""
     n, d = powers[0].rows, len(coeffs)
-    den = lcm(*[p._den for p in powers[:d]])
-    stack = _make(d, n * n, [x * (den // p._den) for p in powers[:d] for x in p._nums], den)
+    stack = _over_lcm(d, n * n, [(p._nums, p._den) for p in powers[:d]])
     flat = mat_mul(_from_grid(1, d, (coeffs,)), stack)
     return _make(n, n, flat._nums, flat._den)
 

@@ -1,8 +1,9 @@
 """Exact scalar/matrix core: arithmetic, rank, inverse, block split/compose."""
 
+import random
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 
 import pytest
@@ -194,6 +195,24 @@ class TestBlocks:
             ["-1/6", "1/3", "-7/36"],
         ])
 
+    def test_compose_values_of_independent_blocks(self):
+        # four blocks of every height and width 0-3, each over its own wide denominator
+        rng = random.Random(31)
+        dens = ((1 << 61) - 1, 10 ** 18 + 9, 3 ** 40, 7 ** 23)
+
+        def block(rows, cols, den):
+            return RMatrix(rows, cols, tuple(tuple(Fraction(rng.randint(-(1 << 80), 1 << 80), den)
+                                                   for _ in range(cols)) for _ in range(rows)))
+
+        for top, bottom, left, right in product(range(4), repeat=4):
+            x0, x1, x2, x3 = (block(rows, cols, den) for (rows, cols), den in
+                              zip(product((top, bottom), (left, right)), dens))
+            want = tuple(a + b for a, b in chain(zip(x0.entries, x1.entries),
+                                                 zip(x2.entries, x3.entries)))
+            got = block_compose(x0, x1, x2, x3)
+            assert got.shape == (top + bottom, left + right)
+            assert got.entries == want
+
     def test_compose_single_block(self):
         assert block_compose(identity(2), zeros(2, 0), zeros(0, 2), zeros(0, 0)) == identity(2)
 
@@ -375,6 +394,18 @@ class TestFromRowsText:
         with pytest.raises(ValueError) as from_rows:
             RMatrix.from_rows([["1/0"]])
         assert str(from_rows.value) == "zero denominator in '1/0'"
+
+    @pytest.mark.parametrize("rows", [["12", "34"], "12", [b"12"], b"12", [[1, 2], "34"],
+                                      ["1"], "", [bytearray(b"12")]])
+    def test_text_rows_are_refused(self, rows):
+        # iterated, text or bytes would be split into characters or byte values
+        with pytest.raises(TypeError):
+            RMatrix.from_rows(rows)
+
+    def test_text_entries_ints_and_fractions_are_kept(self):
+        a = RMatrix.from_rows([["-7/36", 3, Fraction(1, 2)], ("12", "0", -1)])
+        assert a.entries == ((Fraction(-7, 36), Fraction(3), Fraction(1, 2)),
+                             (Fraction(12), Fraction(0), Fraction(-1)))
 
     def test_text_that_fraction_reads_keeps_its_value(self):
         a = RMatrix.from_rows([["1.5", " 2 ", "-7/36", "1e2", "10/4"]])

@@ -32,6 +32,17 @@ def test_runtime_imports_only_the_standard_library():
     assert foreign == set()
 
 
+def test_only_exact_takes_an_lcm():
+    # putting grids over the lcm of their denominators is decided in exact alone
+    takers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names) \
+                    or isinstance(node, ast.Attribute) and node.attr == "lcm":
+                takers.add(path.name)
+    assert takers == {"exact.py"}
+
+
 REIMPORT = """
 import gc, sys
 for _ in range(10):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 
 import support
-from geninv import (DimensionMismatch, NotIdempotent, RMatrix, block_compose, block_extract,
-                    compute_star_blocks, factor_with, full_rank_reduce,
+from geninv import (DimensionMismatch, FactoredMatrix, NotIdempotent, RMatrix, block_compose,
+                    block_extract, check, compute_star_blocks, factor_with, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
                     g13_inverse, g134_inverse, g14_inverse, g2_inverse,
                     group_blocks, group_inverse_block, identity, index_of,
@@ -55,6 +55,18 @@ def round_trip_factors(rng):
 def middle_blocks(f, x):
     """block_extract(P^-1*X*Q^-1, r): the blocks (x0, x1, x2, x3) of X."""
     return block_extract(mat_mul(mat_mul(mat_inverse(f.p), x), mat_inverse(f.q)), f.r)
+
+
+def assembled(f, b):
+    """P*[[b0, b1], [b2, b3]]*Q, the candidate X with blocks b."""
+    return mat_mul(mat_mul(f.p, block_compose(*b)), f.q)
+
+
+def validated(validate, eq, f, b):
+    """validate(f, b), asserted to agree with check's equation eq on the assembled X."""
+    holds = validate(f, b)
+    assert holds == getattr(check(f.a, assembled(f, b)), eq)
+    return holds
 
 
 def perturbed(block):
@@ -185,25 +197,24 @@ class TestValidateG2:
     def test_identity_blocks(self):
         f = golden_factors()
         b = (identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
-        assert validate_g2_blocks(f, b)
+        assert validated(validate_g2_blocks, "eq2", f, b)
 
     def test_wrong_corner(self):
         f = golden_factors()
         b = (identity(2), zeros(2, 1), zeros(1, 2), RMatrix.from_rows([[1]]))
-        assert not validate_g2_blocks(f, b)
+        assert not validated(validate_g2_blocks, "eq2", f, b)
 
     def test_generator_round_trip(self):
-        f = golden_factors()
         rng = random.Random(13)
-        pinv = mat_inverse(f.p)
-        qinv = mat_inverse(f.q)
-        for _ in range(100):
-            x = g2_inverse(f,
-                           x0=rand_idempotent(rng, 2),
-                           fblk=rand_matrix(rng, 2, 1),
-                           gblk=rand_matrix(rng, 1, 2))
-            mid = mat_mul(mat_mul(pinv, x), qinv)
-            assert validate_g2_blocks(f, block_extract(mid, f.r))
+        for f in round_trip_factors(rng):
+            for _ in range(10):
+                x = g2_inverse(f,
+                               x0=rand_idempotent(rng, f.r),
+                               fblk=rand_matrix(rng, f.r, f.m - f.r),
+                               gblk=rand_matrix(rng, f.n - f.r, f.r))
+                x0, x1, x2, x3 = middle_blocks(f, x)
+                assert validated(validate_g2_blocks, "eq2", f, (x0, x1, x2, x3))
+                assert not validated(validate_g2_blocks, "eq2", f, (x0, x1, x2, perturbed(x3)))
 
 
 class TestG12:
@@ -238,30 +249,25 @@ class TestValidateG3:
         _, s2, _, s4 = sq
         forced = -mat_mul(s2, mat_inverse(s4))
         b = (identity(2), forced, zeros(1, 2), zeros(1, 1))
-        assert validate_g3_blocks(f, sq, b)
+        assert validated(validate_g3_blocks, "eq3", f, b)
 
     def test_zero_x1_fails_with_nonzero_s2(self):
-        f = golden_factors()
-        sq, _ = compute_star_blocks(f)
         b = (identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
-        assert not validate_g3_blocks(f, sq, b)
+        assert not validated(validate_g3_blocks, "eq3", golden_factors(), b)
 
     def test_zero_core(self):
-        f = golden_factors()
-        sq, _ = compute_star_blocks(f)
         b = (zeros(2, 2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
-        assert validate_g3_blocks(f, sq, b)
+        assert validated(validate_g3_blocks, "eq3", golden_factors(), b)
 
     def test_generator_round_trip(self):
         rng = random.Random(28)
         for f in round_trip_factors(rng):
-            sq, _ = compute_star_blocks(f)
             for x in (g13_inverse(f, x2=rand_matrix(rng, f.n - f.r, f.r),
                                   x3=rand_matrix(rng, f.n - f.r, f.m - f.r)),
                       g123_inverse(f, x2=rand_matrix(rng, f.n - f.r, f.r))):
                 x0, x1, x2, x3 = middle_blocks(f, x)
-                assert validate_g3_blocks(f, sq, (x0, x1, x2, x3))
-                assert not validate_g3_blocks(f, sq, (x0, perturbed(x1), x2, x3))
+                assert validated(validate_g3_blocks, "eq3", f, (x0, x1, x2, x3))
+                assert not validated(validate_g3_blocks, "eq3", f, (x0, perturbed(x1), x2, x3))
 
 
 class TestG13:
@@ -311,30 +317,87 @@ class TestValidateG4:
         _, _, t3, t4 = sp
         forced = -mat_mul(mat_inverse(t4), t3)
         b = (identity(2), zeros(2, 1), forced, zeros(1, 1))
-        assert validate_g4_blocks(f, sp, b)
+        assert validated(validate_g4_blocks, "eq4", f, b)
 
     def test_zero_x2_fails_with_nonzero_t3(self):
-        f = golden_factors()
-        _, sp = compute_star_blocks(f)
         b = (identity(2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
-        assert not validate_g4_blocks(f, sp, b)
+        assert not validated(validate_g4_blocks, "eq4", golden_factors(), b)
 
     def test_zero_core(self):
-        f = golden_factors()
-        _, sp = compute_star_blocks(f)
         b = (zeros(2, 2), zeros(2, 1), zeros(1, 2), zeros(1, 1))
-        assert validate_g4_blocks(f, sp, b)
+        assert validated(validate_g4_blocks, "eq4", golden_factors(), b)
 
     def test_generator_round_trip(self):
         rng = random.Random(29)
         for f in round_trip_factors(rng):
-            _, sp = compute_star_blocks(f)
             for x in (g14_inverse(f, x1=rand_matrix(rng, f.r, f.m - f.r),
                                   x3=rand_matrix(rng, f.n - f.r, f.m - f.r)),
                       g124_inverse(f, x1=rand_matrix(rng, f.r, f.m - f.r))):
                 x0, x1, x2, x3 = middle_blocks(f, x)
-                assert validate_g4_blocks(f, sp, (x0, x1, x2, x3))
-                assert not validate_g4_blocks(f, sp, (x0, x1, perturbed(x2), x3))
+                assert validated(validate_g4_blocks, "eq4", f, (x0, x1, x2, x3))
+                assert not validated(validate_g4_blocks, "eq4", f, (x0, x1, perturbed(x2), x3))
+
+
+class TestValidatorsAgreeWithCheck:
+    """The validators return the paper's block conditions alone; on block sets
+    drawn at random each must agree with check's equation on the assembled X.
+    Each block is either drawn free or set by its condition, so both answers
+    occur on the library's reduction and on the second one."""
+
+    @staticmethod
+    def block_sets(rng, f):
+        """(validator, equation, blocks) for {2}, {3} and {4}, of f's shapes."""
+        r, m, n = f.r, f.m, f.n
+
+        def pick(forced, rows, cols):
+            return forced() if rng.random() < 0.75 else rand_matrix(rng, rows, cols)
+
+        def symmetric():
+            k = rand_matrix(rng, r, r)
+            return k + mat_transpose(k)
+
+        x0 = pick(lambda: rand_idempotent(rng, r), r, r)
+        x1 = pick(lambda: mat_mul(x0, rand_matrix(rng, r, m - r)), r, m - r)
+        x2 = pick(lambda: mat_mul(rand_matrix(rng, n - r, r), x0), n - r, r)
+        x3 = pick(lambda: mat_mul(x2, x1), n - r, m - r)
+        yield validate_g2_blocks, "eq2", (x0, x1, x2, x3)
+
+        (s1, s2, _, s4), (t1, t2, t3, t4) = compute_star_blocks(f)
+        star1 = -mat_mul(s2, mat_inverse(s4))
+        star2 = -mat_mul(mat_inverse(t4), t3)
+        w3 = s1 + mat_mul(star1, mat_transpose(s2))
+        w4 = t1 + mat_mul(t2, star2)
+        free2, free3 = rand_matrix(rng, n - r, r), rand_matrix(rng, n - r, m - r)
+        x0 = pick(lambda: mat_mul(symmetric(), mat_inverse(w3)), r, r)
+        x1 = pick(lambda: mat_mul(x0, star1), r, m - r)
+        yield validate_g3_blocks, "eq3", (x0, x1, free2, free3)
+
+        free1 = rand_matrix(rng, r, m - r)
+        x0 = pick(lambda: mat_mul(mat_inverse(w4), symmetric()), r, r)
+        x2 = pick(lambda: mat_mul(star2, x0), n - r, r)
+        yield validate_g4_blocks, "eq4", (x0, free1, x2, free3)
+
+    def test_random_block_sets(self):
+        rng = random.Random(30)
+        seen = {}
+        # round_trip_factors yields the library's reduction, then the second one
+        for i, f in enumerate(round_trip_factors(rng)):
+            for _ in range(8):
+                for validate, eq, b in self.block_sets(rng, f):
+                    seen.setdefault((eq, i % 2), set()).add(validated(validate, eq, f, b))
+        assert seen == {(eq, which): {False, True}
+                        for eq in ("eq2", "eq3", "eq4") for which in (0, 1)}
+
+    def test_hand_built_factors_get_the_block_condition(self):
+        # a FactoredMatrix that does not reduce its A is not checked: the
+        # validators answer from P, Q and r alone, even where check disagrees
+        f = golden_factors()
+        other = FactoredMatrix(a=support.EX1 + identity(3), p=f.p, q=f.q, r=f.r)
+        b = middle_blocks(f, g13_inverse(f))
+        assert validate_g3_blocks(other, b)
+        assert not check(other.a, assembled(other, b)).eq3
+        for validate in (validate_g2_blocks, validate_g4_blocks):
+            assert validate(other, b) == validate(f, b)
 
 
 class TestG14:
@@ -448,10 +511,6 @@ class TestBlockFormula:
         for n in (2, 4, 5):
             yield rand_index_one_singular(rng, n)
 
-    @staticmethod
-    def formula(f, x0, x1, x2, x3):
-        return mat_mul(mat_mul(f.p, block_compose(x0, x1, x2, x3)), f.q)
-
     def test_constructors_match_block_formula(self):
         rng = random.Random(22)
         for a in self.inputs(rng):
@@ -485,11 +544,11 @@ class TestBlockFormula:
                      (x0, mat_mul(x0, x1), mat_mul(x2, x0), mat_mul(mat_mul(x2, x0), x1))),
                 )
                 for x, blocks in cases:
-                    assert x == self.formula(f, *blocks)
+                    assert x == assembled(f, blocks)
             if a.is_square and index_of(a) <= 1:
                 f = full_rank_reduce(a)
                 _, v2, v3, v4 = group_blocks(f)
                 v4i = mat_inverse(v4)
                 x1, x2 = -mat_mul(v2, v4i), -mat_mul(v4i, v3)
-                assert group_inverse_block(a) == self.formula(f, identity(f.r), x1, x2,
-                                                              mat_mul(x2, x1))
+                assert group_inverse_block(a) == assembled(f, (identity(f.r), x1, x2,
+                                                               mat_mul(x2, x1)))
