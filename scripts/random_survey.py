@@ -12,8 +12,13 @@ from fractions import Fraction
 
 from geninv import (RMatrix, check, drazin_inverse, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
-                    g13_inverse, g134_inverse, g14_inverse, group_inverse_poly,
-                    index_of, is_ep, moore_penrose, verify_factorization)
+                    g13_inverse, g134_inverse, g14_inverse, group_inverse_block,
+                    group_inverse_poly, index_of, is_ep, moore_penrose,
+                    verify_factorization)
+
+G_INVERSES = (("{1}", g1_inverse), ("{1,2}", g12_inverse), ("{1,3}", g13_inverse),
+              ("{1,2,3}", g123_inverse), ("{1,4}", g14_inverse),
+              ("{1,2,4}", g124_inverse), ("{1,3,4}", g134_inverse))
 
 
 def rand_matrix(rng, m, n):
@@ -48,23 +53,25 @@ def main():
         rep = check(a, pinv)
         assert "MP" in rep.classes
 
-        for build in (g1_inverse, g12_inverse, g13_inverse, g123_inverse,
-                      g14_inverse, g124_inverse, g134_inverse):
-            build(f)
+        for label, build in G_INVERSES:
+            assert label in check(a, build(f)).classes, label
 
         if a.is_square:
             square_count += 1
             k = index_of(a)
             indexes[k] += 1
-            drazin_inverse(a)
+            drazin = drazin_inverse(a)
+            assert "Drazin" in check(a, drazin).classes
             if k <= 1:
-                group_inverse_poly(a)
-            if is_ep(a):
+                assert group_inverse_poly(a) == group_inverse_block(a)
+            ep = is_ep(a)
+            assert ep == (pinv == drazin)
+            if ep:
                 ep_count += 1
 
     dt = time.monotonic() - t0
     print(f"corpus: {args.count} matrices, dims 1..{args.max_dim}, seed {args.seed}")
-    print(f"all factorizations verified, all pseudoinverses exact ({dt:.2f}s)")
+    print(f"all factorizations and inverses verified exactly ({dt:.2f}s)")
     print(f"rank distribution:  {dict(sorted(ranks.items()))}")
     print(f"index distribution: {dict(sorted(indexes.items()))} over {square_count} square")
     print(f"EP matrices:        {ep_count}/{square_count} square")

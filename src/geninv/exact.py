@@ -21,11 +21,11 @@ elimination leaves, ``block_compose``'s blocks, ``square``'s stacked powers)
 is put over the lcm of theirs by one builder, ``_over_lcm``: a sum adds where
 those concatenate. No other module takes an lcm.
 
-Rank, inverse and the full-rank reduction share one elimination,
-``_echelon``, on rows of integer numerators over a denominator. Its only
-arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel
-the row's common factor. ``square``'s minimal-polynomial scan reduces its
-rows with ``_eliminate`` too.
+Rank, inverse, pivot columns and the full-rank reduction share one
+elimination, ``_echelon``, on rows of integer numerators over a denominator.
+Its only arithmetic is ``_eliminate``: an integer row step, then one gcd to
+cancel the row's common factor. ``square``'s minimal-polynomial scan reduces
+its rows with ``_eliminate`` too.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -34,6 +34,7 @@ MatrixFile writer use it. MatrixFile text is read in ``cli``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -59,8 +60,9 @@ def _exact(v):
 
 
 def _not_text(seq, what: str):
-    """seq, unless it is text or bytes, which would iterate as characters or byte values."""
-    if isinstance(seq, (str, bytes, bytearray)):
+    """seq, unless it is text or bytes, which would iterate as characters or byte
+    values, or a set or mapping, which iterates in no fixed order or over keys."""
+    if isinstance(seq, (str, bytes, bytearray, Set, Mapping)):
         raise TypeError(f"{what} must be a sequence, not {type(seq).__name__}")
     return seq
 
@@ -94,8 +96,8 @@ class RMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RMatrix":
         """Build from nested sequences; entries may be int, Fraction or text like
-        ``-7/36``. A row, or the whole argument, given as text or bytes is
-        refused rather than split into characters."""
+        ``-7/36``. A row, or the whole argument, given as text, bytes, a set
+        or a mapping is refused rather than read in its iteration order."""
         grid = [[_exact(v) for v in _not_text(row, "a row")] for row in _not_text(rows, "rows")]
         if not grid or not grid[0]:
             raise ValueError("matrix must be at least 1x1")
@@ -244,12 +246,12 @@ def zeros(rows: int, cols: int) -> RMatrix:
 
 
 def identity(n: int) -> RMatrix:
-    _check_shape(n, n)
     return partial_identity(n, n, n)
 
 
 def partial_identity(rows: int, cols: int, r: int) -> RMatrix:
     """The m x n matrix with ones on the first r diagonal places, zeros elsewhere."""
+    _check_shape(rows, cols)
     if r < 0 or r > min(rows, cols):
         raise ValueError(f"rank {r} outside 0..{min(rows, cols)}")
     return _make(rows, cols, [int(i == j < r) for i in range(rows) for j in range(cols)], 1)
@@ -318,6 +320,13 @@ def mat_inverse(a: RMatrix) -> RMatrix:
 def mat_rank(a: RMatrix) -> int:
     """Exact rank by forward elimination."""
     return _echelon([(list(row), a._den) for row in _rows(a)], a.cols)[0]
+
+
+def _pivot_columns(a: RMatrix) -> RMatrix:
+    """The columns of a at its echelon's pivots, a basis of the range of a."""
+    rows = _rows(a)
+    r, _, cols = _echelon([(list(row), a._den) for row in rows], a.cols)
+    return _make(a.rows, r, [row[j] for row in rows for j in cols[:r]], a._den)
 
 
 def _unit(i: int, n: int, x: int = 1) -> tuple[int, ...]:

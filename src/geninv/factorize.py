@@ -19,7 +19,10 @@ from .exact import (RMatrix, _echelon, _make, _over_lcm, _rows, _solve, _unit, m
 
 @dataclass(frozen=True)
 class FactoredMatrix:
-    """A together with regular P (n x n), Q (m x m) and rank r, Q*A*P = E_r."""
+    """A together with regular P (n x n), Q (m x m) and rank r, Q*A*P = E_r,
+    which every ``g*`` inverse and block validator trusts. One built by hand is
+    not checked: ``factor_with`` checks its factors, ``verify_factorization``
+    an existing reduction."""
 
     a: RMatrix
     p: RMatrix

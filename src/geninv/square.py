@@ -2,24 +2,21 @@
 inverses, and EP detection.
 
 The index of A is the smallest k >= 0 with rank(A^k) = rank(A^(k+1)); it
-always equals the lowest degree carrying a nonzero coefficient in the
-minimal polynomial. Each function reads it one way: ``index_of`` and
-``penrose.check`` by the rank sequence, the inverses from the minimal
-polynomial they need anyway. The tests assert that the two routes agree, as
-they do for ``is_ep``'s rank test against the definition A^+ = A^D. The
-q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)), which the tests
-also assert rather than each call, and turns the Drazin inverse
-A^k * q(A)^(k+1) into a plain polynomial expression in A. The group inverse
-is the same expression at index k <= 1: A*q(A)^2, or q(A) = A^-1 for a
-regular A. ``drazin_inverse`` and ``group_inverse_poly`` share that route.
+equals the lowest degree with a nonzero coefficient in the minimal
+polynomial. ``index_of``, ``penrose.check`` and ``drazin_inverse`` read k
+and A^k from the rank sequence, ``group_inverse_poly`` from the minimal
+polynomial it needs anyway; the tests assert that the routes agree, as they
+do for ``is_ep``'s rank test against the definition A^+ = A^D.
 
-Each call multiplies out the powers of A it needs once, each by one product
-with A, and forms no product with I or 0. The minimal polynomial's scan
-fills a plain list with I, A, ..., A^(deg mu), forming A^(j+1) = A^j * A
-only after A^j turned out independent; q(A) and A^k are read from that list.
-The rank sequence forms A^2, ..., A^(k+1) in a loop of its own. The scan
-runs on ``exact``'s integer rows, and q(A) is one integer product of q's
-coefficients with the stacked, flattened powers.
+The Drazin inverse is Cline's full-rank form (R. E. Cline, SIAM J. Numer.
+Anal. 5, 1968; Ben-Israel & Greville, *Generalized Inverses*, ch. 4): for
+A^k = F*G of full rank, k >= index of A, A^D = F*(G*A*F)^-1*G. With C the
+pivot columns and R the pivot rows of A^k, A^k = C*U^-1*R for their regular
+intersection U, and F = C, G = U^-1*R give A^D = C*(R*A*C)^-1*R.
+
+The q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)), which the tests
+assert rather than each call, and makes the group inverse a polynomial in A:
+A*q(A)^2, or q(A) = A^-1 for a regular A.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation, SingularMatrix
-from .exact import (RMatrix, _eliminate, _from_grid, _make, _over_lcm, _unit, block_compose,
-                    block_extract, identity, mat_add, mat_inverse, mat_mul, mat_pow, mat_rank,
-                    mat_scale, mat_transpose, zeros)
+from .exact import (RMatrix, _eliminate, _from_grid, _make, _over_lcm, _pivot_columns, _unit,
+                    block_compose, block_extract, identity, mat_add, mat_inverse, mat_mul,
+                    mat_rank, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
 from .rect import g12_inverse
 
@@ -91,11 +88,9 @@ def _require_square(a: RMatrix, what: str) -> None:
 
 
 def poly_at(coeffs, a: RMatrix) -> RMatrix:
-    """Evaluate a polynomial at a square matrix by Horner's scheme.
-
-    No library function calls it. It is kept on purpose: it is the
-    independent evaluation the tests hold ``_combine`` against, and
-    perfbench's tracer counts its calls."""
+    """Evaluate a polynomial at a square matrix by Horner's scheme. No library
+    function calls it; it is kept as the independent evaluation the tests hold
+    ``_combine`` and ``drazin_inverse`` against, and perfbench's tracer counts it."""
     _require_square(a, "polynomial evaluation")
     n = a.rows
     *lower, lead = coeffs or (0,)
@@ -170,24 +165,16 @@ def index_of(a: RMatrix) -> int:
     return _index_and_power(a)[0]
 
 
-def _drazin(mu: MinimalPolynomial, powers: list[RMatrix]) -> RMatrix:
-    """A^k * q(A)^(k+1) at k = index of A, or q(A) itself at k = 0, with A^k
-    and the powers q(A) needs read from the minimal polynomial's list."""
-    qa = _combine(q_polynomial(mu), powers)
-    k = mu.index
-    return qa if k == 0 else mat_mul(powers[k], mat_pow(qa, k + 1))
-
-
 def group_inverse_poly(a: RMatrix) -> RMatrix:
-    """The group inverse, which requires index at most 1: the Drazin route's
-    A*q(A)^2, or q(A) = A^-1 for a regular A. q(A) itself is a {1}-inverse of
-    A at index 1."""
+    """The group inverse, which requires index at most 1: A*q(A)^2, or
+    q(A) = A^-1 for a regular A. q(A) itself is a {1}-inverse of A at index 1."""
     _require_square(a, "group inverse")
     powers = []
     mu = minimal_polynomial(a, powers)
     if mu.index > 1:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {mu.index}")
-    return _drazin(mu, powers)
+    qa = _combine(q_polynomial(mu), powers)
+    return qa if mu.index == 0 else mat_mul(a, mat_mul(qa, qa))
 
 
 def group_blocks(f: FactoredMatrix) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
@@ -214,13 +201,13 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
 
 
 def drazin_inverse(a: RMatrix) -> RMatrix:
-    """The Drazin inverse A^k * q(A)^(k+1) at k = index of A, read off the
-    minimal polynomial; zero for nilpotent input, the group inverse when the
-    index is at most 1."""
+    """C*(R*A*C)^-1*R for the pivot columns C and pivot rows R of A^k, k = index
+    of A: zero for nilpotent A (C is n x 0), A^-1 for regular A (C = R = I)."""
     _require_square(a, "Drazin inverse")
-    powers = []
-    mu = minimal_polynomial(a, powers)
-    return _drazin(mu, powers)
+    _, ak = _index_and_power(a)
+    c = _pivot_columns(ak)
+    r = mat_transpose(_pivot_columns(mat_transpose(ak)))
+    return mat_mul(mat_mul(c, mat_inverse(mat_mul(mat_mul(r, a), c))), r)
 
 
 def is_ep(a: RMatrix) -> bool:

@@ -294,6 +294,12 @@ class TestZeroSize:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             RMatrix(-1, 0, ())
+        # the shape is checked before partial_identity's rank
+        for build, shape in ((lambda: zeros(-1, 2), "-1x2"), (lambda: identity(-1), "-1x-1"),
+                             (lambda: partial_identity(-1, 2, 0), "-1x2")):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"matrix dimensions must be >= 0, got {shape}"
 
 
 # integers of 1 to 400 bits, either sign or zero, and positive denominators
@@ -396,9 +402,12 @@ class TestFromRowsText:
         assert str(from_rows.value) == "zero denominator in '1/0'"
 
     @pytest.mark.parametrize("rows", [["12", "34"], "12", [b"12"], b"12", [[1, 2], "34"],
-                                      ["1"], "", [bytearray(b"12")]])
+                                      ["1"], "", [bytearray(b"12")],
+                                      [{"1/2", "3", "-5"}], [frozenset((1, 2))], [{1: 2}],
+                                      {0: [1]}, {(1,)}, [{1: 2}.keys()]])
     def test_text_rows_are_refused(self, rows):
-        # iterated, text or bytes would be split into characters or byte values
+        # iterated, text or bytes would be split into characters or byte values,
+        # a set would be read in hash order and a mapping as its keys
         with pytest.raises(TypeError):
             RMatrix.from_rows(rows)
 

@@ -258,8 +258,9 @@ class TestDrazin:
 
 
 class TestDrazinRoutes:
-    """The shared polynomial route against the paper's formulas A^k * q(A)^(k+1)
-    and, at index k <= 1, A*q(A)^2, evaluated with the public functions."""
+    """The Drazin inverse and the polynomial group inverse against the paper's
+    formulas A^k * q(A)^(k+1) and, at index k <= 1, A*q(A)^2, evaluated with
+    the public functions."""
 
     def cases(self):
         rng = random.Random(27)
@@ -269,7 +270,9 @@ class TestDrazinRoutes:
         return mats + [support.EX1, support.EX3]
 
     def test_equals_paper_formula(self):
-        for a in self.cases():
+        rng = random.Random(28)
+        larger = [rand_with_index(rng, k, n - k) for k in range(4) for n in (8, 9, 10)]
+        for a in self.cases() + larger + [zeros(0, 0)]:
             k = index_of(a)
             qa = poly_at(q_polynomial(minimal_polynomial(a)), a)
             assert drazin_inverse(a) == mat_mul(mat_pow(a, k), mat_pow(qa, k + 1))
@@ -277,24 +280,30 @@ class TestDrazinRoutes:
                 assert group_inverse_poly(a) == mat_mul(a, mat_pow(qa, 2))
 
     def test_each_power_formed_once(self, monkeypatch):
-        # only the list of powers and the rank sequence multiply by A itself,
-        # and each function reads the index one way: drazin_inverse and
-        # group_inverse_poly form up to A^(deg mu) in the minimal polynomial's
-        # list, check up to A^(k+1) for the rank sequence
-        chain_products = []
+        # only the list of powers and the rank sequence multiply a power of A
+        # by A: group_inverse_poly forms up to A^(deg mu) in the minimal
+        # polynomial's list, drazin_inverse and check up to A^(k+1) in the
+        # rank sequence. drazin_inverse's one other product by A is R*A, with
+        # R the pivot rows of A^k.
+        products = []
         real_mul = square.mat_mul
         monkeypatch.setattr(square, "mat_mul",
-                            lambda x, y: chain_products.append(y) or real_mul(x, y))
+                            lambda x, y: products.append((x, y)) or real_mul(x, y))
+
+        def lefts_of_a(run, a):
+            products.clear()
+            run(a)
+            return [x for x, y in products if y is a]
+
         for a in self.cases():
             k, mu = index_of(a), minimal_polynomial(a)
-            runs = [(drazin_inverse, mu.degree - 1),
-                    (lambda a: check(a, zeros(a.rows, a.rows)), k)]
+            lower, ak = [mat_pow(a, j) for j in range(1, k + 1)], mat_pow(a, k)
+            assert lefts_of_a(lambda a: check(a, zeros(a.rows, a.rows)), a) == lower
+            *sequence, r = lefts_of_a(drazin_inverse, a)
+            assert sequence == lower
+            assert r.rows == mat_rank(ak) and set(r.entries) <= set(ak.entries)
             if k <= 1:
-                runs.append((group_inverse_poly, mu.degree - 1))
-            for run, products in runs:
-                chain_products.clear()
-                run(a)
-                assert sum(y is a for y in chain_products) == products
+                assert len(lefts_of_a(group_inverse_poly, a)) == mu.degree - 1
 
     def test_index_and_ep_routes_agree(self):
         # index_of reads the rank sequence and is_ep compares ranks; the

@@ -31,25 +31,28 @@ def test_every_traced_function_exists(monkeypatch):
 
 
 def test_tracer_sees_the_square_routes(monkeypatch):
-    # the inverses reach minimal_polynomial and q_polynomial through module
-    # globals; a call made through any other reference reads 0 calls here
+    # group_inverse_poly reaches minimal_polynomial and q_polynomial, and
+    # drazin_inverse mat_inverse, through module globals; a call made through
+    # any other reference reads 0 calls here
     tracing = load_tracing(monkeypatch)
     geninv = importlib.import_module("geninv")
     modules = [m for name, m in sys.modules.items()
                if m is not None and (name == "geninv" or name.startswith("geninv."))]
     before = [dict(vars(m)) for m in modules]
     a = geninv.RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # index 1
+    names = ("square.minimal_polynomial", "square.q_polynomial", "exact.mat_inverse")
     tracer = tracing.Tracer()
     tracer.install()
     try:
         calls = []
         for run in (geninv.drazin_inverse, geninv.group_inverse_poly):
+            start = [tracer.calls[tracing.FUNCTIONS.index(name)] for name in names]
             run(a)
-            calls.append({fn: tracer.calls[tracing.FUNCTIONS.index(f"square.{fn}")]
-                          for fn in ("minimal_polynomial", "q_polynomial")})
+            calls.append([tracer.calls[tracing.FUNCTIONS.index(name)] - s0
+                          for name, s0 in zip(names, start)])
     finally:
         tracer.uninstall()
-    assert calls == [dict.fromkeys(("minimal_polynomial", "q_polynomial"), n) for n in (1, 2)]
+    assert calls == [[0, 0, 1], [1, 1, 0]]
     assert [dict(vars(m)) for m in modules] == before
 
 
