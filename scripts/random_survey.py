@@ -2,7 +2,12 @@
 """Random sweep: build a seeded corpus of small rational matrices, compute
 every inverse family, verify everything exactly, and print summary counts
 (rank/index distribution, EP frequency, equations satisfied). All checks are
-structural equality; any violation aborts with an assertion error."""
+structural equality; any violation aborts with an assertion error.
+
+A third of the draws are random m x n matrices, which are almost never
+singular when square. The rest are square: half of them low-rank products
+L*R, which have index 1 in general, and half S*diag(N_k, M)*S^-1 with the
+k x k nilpotent Jordan block N_k, k from 1 to 3, whose index is exactly k."""
 
 import argparse
 import random
@@ -10,11 +15,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from geninv import (RMatrix, check, drazin_inverse, full_rank_reduce,
+from geninv import (RMatrix, block_compose, check, drazin_inverse, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
                     g13_inverse, g134_inverse, g14_inverse, group_inverse_block,
-                    group_inverse_poly, index_of, is_ep, moore_penrose,
-                    verify_factorization)
+                    group_inverse_poly, index_of, is_ep, mat_inverse, mat_mul, mat_rank,
+                    moore_penrose, verify_factorization, zeros)
 
 G_INVERSES = (("{1}", g1_inverse), ("{1,2}", g12_inverse), ("{1,3}", g13_inverse),
               ("{1,2,3}", g123_inverse), ("{1,4}", g14_inverse),
@@ -22,8 +27,40 @@ G_INVERSES = (("{1}", g1_inverse), ("{1,2}", g12_inverse), ("{1,3}", g13_inverse
 
 
 def rand_matrix(rng, m, n):
-    return RMatrix.from_rows([[Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
-                               for _ in range(n)] for _ in range(m)])
+    return RMatrix(m, n, tuple(tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                                     for _ in range(n)) for _ in range(m)))
+
+
+def rand_regular(rng, n):
+    while True:
+        a = rand_matrix(rng, n, n)
+        if mat_rank(a) == n:
+            return a
+
+
+def low_rank(rng, n):
+    """L*R with an n x r and an r x n factor, r < n: rank at most r."""
+    r = rng.randint(0, n - 1)
+    return mat_mul(rand_matrix(rng, n, r), rand_matrix(rng, r, n))
+
+
+def with_index(rng, n, k):
+    """S*diag(N_k, M)*S^-1 with regular S and M: index exactly k."""
+    jordan = RMatrix(k, k, tuple(tuple(Fraction(j == i + 1) for j in range(k)) for i in range(k)))
+    core = block_compose(jordan, zeros(k, n - k), zeros(n - k, k), rand_regular(rng, n - k))
+    s = rand_regular(rng, n)
+    return mat_mul(mat_mul(s, core), mat_inverse(s))
+
+
+def draw(rng, max_dim):
+    """(A, its index when the draw fixes it, else None)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rand_matrix(rng, rng.randint(1, max_dim), rng.randint(1, max_dim)), None
+    if kind == 1:
+        return low_rank(rng, rng.randint(1, max_dim)), None
+    k = rng.randint(1, min(3, max_dim))
+    return with_index(rng, rng.randint(k, max_dim), k), k
 
 
 def main():
@@ -41,9 +78,7 @@ def main():
     t0 = time.monotonic()
 
     for _ in range(args.count):
-        m = rng.randint(1, args.max_dim)
-        n = rng.randint(1, args.max_dim)
-        a = rand_matrix(rng, m, n)
+        a, fixed_index = draw(rng, args.max_dim)
 
         f = full_rank_reduce(a)
         assert verify_factorization(f)
@@ -59,6 +94,7 @@ def main():
         if a.is_square:
             square_count += 1
             k = index_of(a)
+            assert fixed_index in (None, k)
             indexes[k] += 1
             drazin = drazin_inverse(a)
             assert "Drazin" in check(a, drazin).classes

@@ -1,7 +1,7 @@
 """Block constructions of generalized inverses from a full-rank reduction.
 
-Every inverse built here has the shape X = P * [[X0, X1], [X2, X3]] * Q for a
-reduction Q*A*P = E_r. Each class pins some blocks and leaves the rest free;
+Every constructor that takes a reduction Q*A*P = E_r builds X = P * [[X0, X1],
+[X2, X3]] * Q. Each class pins some blocks and leaves the rest free;
 omitted free blocks default to zero, the canonical member of the family. At
 r = 0, r = m or r = n some blocks are 0-row or 0-column matrices and the same
 formulas apply unchanged. A {2}-type inverse has X3 = X2*X1, so it is built as
@@ -25,6 +25,14 @@ form the Q*Qt or Pt*P split from f. Each returns the paper's block condition
 alone and forms no X: that it matches X*A*X = X, or the symmetry of A*X or
 X*A, is the paper's theorem for a reduction of A, which the tests assert
 against ``penrose.check``.
+
+``moore_penrose`` takes A alone and needs no reduction. It is MacDuffee's
+full-rank form (Ben-Israel & Greville, *Generalized Inverses*, ch. 1): for
+A = F*G of full rank, A^+ = Gt*(Ft*A*Gt)^-1*Ft. With C the pivot columns and
+R the pivot rows of A, A = C*M*R for a regular r x r M, and F = C, G = M*R
+give A^+ = Rt*(Ct*A*Rt)^-1*Ct, the M cancelling. The paper's block formula
+P*[[I, -S2*S4^-1], [-T4^-1*T3, T4^-1*T3*S2*S4^-1]]*Q gives the same matrix on
+every reduction, which the tests assert.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DimensionMismatch, NotIdempotent
-from .exact import (RMatrix, block_compose, block_extract, identity, mat_add,
+from .exact import (RMatrix, _pivot_columns, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_scale, mat_transpose, zeros)
-from .factorize import FactoredMatrix, full_rank_reduce
+from .factorize import FactoredMatrix
 
 
 def _gram_split(m: RMatrix, r: int) -> tuple[RMatrix, RMatrix, RMatrix, RMatrix]:
@@ -183,8 +191,9 @@ def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:
 
 
 def moore_penrose(a: RMatrix) -> RMatrix:
-    """The Moore-Penrose inverse: the unique matrix satisfying all four
-    defining equations, whichever reduction Q*A*P = E_r it is built on."""
-    f = full_rank_reduce(a)
-    sq, sp = compute_star_blocks(f)
-    return g12_inverse(f, _star_x1(sq), _star_x2(sp))
+    """The Moore-Penrose inverse, the unique matrix satisfying all four
+    defining equations: Rt*(Ct*A*Rt)^-1*Ct for the pivot columns C and pivot
+    rows R of A, an n x m zero at rank 0 (C is m x 0)."""
+    ct = mat_transpose(_pivot_columns(a))
+    rt = _pivot_columns(mat_transpose(a))
+    return mat_mul(mat_mul(rt, mat_inverse(mat_mul(mat_mul(ct, a), rt))), ct)

@@ -1,10 +1,13 @@
 """Per-equation verification reports and class labelling."""
 
+import random
+
 import pytest
 
 import support
 from geninv import (DimensionMismatch, RMatrix, check, drazin_inverse, full_rank_reduce,
-                    g1_inverse, g13_inverse, identity, moore_penrose, zeros)
+                    g1_inverse, g13_inverse, g2_inverse, identity, mat_mul, moore_penrose,
+                    zeros)
 from geninv.penrose import _labels
 
 
@@ -34,6 +37,26 @@ def test_non_square_has_na_slots():
     assert rep.eq5 is None and rep.eq6 is None
     assert "MP" in rep.classes
     assert "group" not in rep.classes
+
+
+@pytest.mark.parametrize("m, n", [(7, 3), (3, 7), (5, 5), (9, 4), (4, 9)])
+def test_first_two_equations_in_either_grouping(m, n):
+    # check multiplies on the smaller side; its answers are those of (A*X)*A
+    # and X*(A*X), for candidates that hold eq1 only, eq2 only, both and neither
+    rng = random.Random(m * 10 + n)
+    a = mat_mul(support.rand_matrix(rng, m, 2), support.rand_matrix(rng, 2, n))
+    f = full_rank_reduce(a)
+    candidates = [moore_penrose(a), support.rand_matrix(rng, n, m),
+                  g1_inverse(f, x3=support.rand_matrix(rng, n - 2, m - 2)),
+                  g2_inverse(f, x0=RMatrix.from_rows([[1, 0], [0, 0]]))]
+    seen = set()
+    for x in candidates:
+        rep = check(a, x)
+        ax = mat_mul(a, x)
+        want = (mat_mul(ax, a) == a, mat_mul(x, ax) == x)
+        assert (rep.eq1, rep.eq2) == want
+        seen.add(want)
+    assert seen == {(True, True), (False, False), (True, False), (False, True)}
 
 
 def test_dimension_check():

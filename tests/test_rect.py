@@ -491,6 +491,19 @@ class TestMoorePenrose:
         a, rows, cols = drawn
         assert moore_penrose(a) == pseudoinverse_on(second_reduction(a, rows, cols))
 
+    @pytest.mark.parametrize("m, n, r", [
+        (12, 7, 3), (7, 12, 4), (12, 12, 6), (11, 12, 0), (12, 5, 0), (5, 12, 5),
+        (9, 12, 9), (12, 5, 5), (12, 10, 10), (12, 12, 12), (0, 3, 0), (3, 0, 0), (0, 0, 0)])
+    def test_equals_block_formula_at_size(self, m, n, r):
+        # tall, wide, rank 0, full row rank and full column rank against the
+        # paper's block formula on two reductions
+        rng = random.Random(m * 144 + n * 12 + r)
+        a = mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n)) if r else zeros(m, n)
+        assert mat_rank(a) == r
+        x = moore_penrose(a)
+        for f in (full_rank_reduce(a), second_reduction(a)):
+            assert x == pseudoinverse_on(f)
+
     @given(rmatrices(max_dim=4))
     def test_double_pseudoinverse(self, a):
         assert moore_penrose(moore_penrose(a)) == a

@@ -30,30 +30,46 @@ def test_every_traced_function_exists(monkeypatch):
     assert tracing.FUNCTIONS and missing == []
 
 
-def test_tracer_sees_the_square_routes(monkeypatch):
-    # group_inverse_poly reaches minimal_polynomial and q_polynomial, and
-    # drazin_inverse mat_inverse, through module globals; a call made through
-    # any other reference reads 0 calls here
+def per_call(monkeypatch, names, runs, a):
+    """For each run, how often run(a) reaches each function in names, as the
+    tracer counts it; the geninv namespaces must be as they were afterwards."""
     tracing = load_tracing(monkeypatch)
-    geninv = importlib.import_module("geninv")
     modules = [m for name, m in sys.modules.items()
                if m is not None and (name == "geninv" or name.startswith("geninv."))]
     before = [dict(vars(m)) for m in modules]
-    a = geninv.RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # index 1
-    names = ("square.minimal_polynomial", "square.q_polynomial", "exact.mat_inverse")
     tracer = tracing.Tracer()
     tracer.install()
     try:
         calls = []
-        for run in (geninv.drazin_inverse, geninv.group_inverse_poly):
+        for run in runs:
             start = [tracer.calls[tracing.FUNCTIONS.index(name)] for name in names]
             run(a)
             calls.append([tracer.calls[tracing.FUNCTIONS.index(name)] - s0
                           for name, s0 in zip(names, start)])
     finally:
         tracer.uninstall()
-    assert calls == [[0, 0, 1], [1, 1, 0]]
     assert [dict(vars(m)) for m in modules] == before
+    return calls
+
+
+def test_tracer_sees_the_square_routes(monkeypatch):
+    # group_inverse_poly reaches minimal_polynomial and q_polynomial, and
+    # drazin_inverse mat_inverse, through module globals; a call made through
+    # any other reference reads 0 calls here
+    geninv = importlib.import_module("geninv")
+    a = geninv.RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # index 1
+    names = ("square.minimal_polynomial", "square.q_polynomial", "exact.mat_inverse")
+    calls = per_call(monkeypatch, names, (geninv.drazin_inverse, geninv.group_inverse_poly), a)
+    assert calls == [[0, 0, 1], [1, 1, 0]]
+
+
+def test_tracer_sees_the_pseudoinverse_route(monkeypatch):
+    # moore_penrose is the full-rank form on A's pivot columns and rows: one
+    # r x r inverse, and neither the reduction nor its Gram blocks
+    geninv = importlib.import_module("geninv")
+    a = geninv.RMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]])  # rank 2
+    names = ("factorize.full_rank_reduce", "rect.compute_star_blocks", "exact.mat_inverse")
+    assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 1]]
 
 
 def test_benchmark_selftest_passes():
