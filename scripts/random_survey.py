@@ -4,8 +4,9 @@ every inverse family, verify everything exactly, and print summary counts
 (rank/index distribution, EP frequency, equations satisfied). All checks are
 structural equality; any violation aborts with an assertion error.
 
-A third of the draws are random m x n matrices, which are almost never
-singular when square. The rest are square: half of them low-rank products
+A third of the draws are m x n: half of them random matrices, which are
+almost never rank-deficient, and half low-rank products L*R with m != n and
+rank below min(m, n). The rest are square: half of them low-rank products
 L*R, which have index 1 in general, and half S*diag(N_k, M)*S^-1 with the
 k x k nilpotent Jordan block N_k, k from 1 to 3, whose index is exactly k."""
 
@@ -38,10 +39,10 @@ def rand_regular(rng, n):
             return a
 
 
-def low_rank(rng, n):
-    """L*R with an n x r and an r x n factor, r < n: rank at most r."""
-    r = rng.randint(0, n - 1)
-    return mat_mul(rand_matrix(rng, n, r), rand_matrix(rng, r, n))
+def low_rank(rng, m, n):
+    """L*R with an m x r and an r x n factor, r < min(m, n): rank at most r."""
+    r = rng.randint(0, min(m, n) - 1)
+    return mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n))
 
 
 def with_index(rng, n, k):
@@ -56,9 +57,12 @@ def draw(rng, max_dim):
     """(A, its index when the draw fixes it, else None)."""
     kind = rng.randrange(3)
     if kind == 0:
+        if rng.randrange(2):
+            return low_rank(rng, *rng.sample(range(1, max_dim + 1), 2)), None
         return rand_matrix(rng, rng.randint(1, max_dim), rng.randint(1, max_dim)), None
     if kind == 1:
-        return low_rank(rng, rng.randint(1, max_dim)), None
+        n = rng.randint(1, max_dim)
+        return low_rank(rng, n, n), None
     k = rng.randint(1, min(3, max_dim))
     return with_index(rng, rng.randint(k, max_dim), k), k
 
@@ -69,12 +73,15 @@ def main():
     ap.add_argument("--max-dim", type=int, default=6, help="largest dimension")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.max_dim < 2:
+        ap.error("--max-dim must be at least 2, so that m != n can be drawn")
 
     rng = random.Random(args.seed)
     ranks = Counter()
     indexes = Counter()
     ep_count = 0
     square_count = 0
+    rect_deficient = 0
     t0 = time.monotonic()
 
     for _ in range(args.count):
@@ -104,11 +111,14 @@ def main():
             assert ep == (pinv == drazin)
             if ep:
                 ep_count += 1
+        else:
+            rect_deficient += f.r < min(a.rows, a.cols)
 
     dt = time.monotonic() - t0
     print(f"corpus: {args.count} matrices, dims 1..{args.max_dim}, seed {args.seed}")
     print(f"all factorizations and inverses verified exactly ({dt:.2f}s)")
     print(f"rank distribution:  {dict(sorted(ranks.items()))}")
+    print(f"rank-deficient:     {rect_deficient}/{args.count - square_count} non-square")
     print(f"index distribution: {dict(sorted(indexes.items()))} over {square_count} square")
     print(f"EP matrices:        {ep_count}/{square_count} square")
 

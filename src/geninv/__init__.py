@@ -7,9 +7,8 @@ rational arithmetic, and verifies candidates against the defining equations.
 """
 
 from .errors import (DimensionMismatch, GenInvError, IndexOutOfRange,
-                     IndexTooLarge, InternalInvariantViolation,
-                     InvalidFactorization, NotIdempotent, ParseError,
-                     SingularMatrix)
+                     IndexTooLarge, InvalidFactorization, NotIdempotent,
+                     ParseError, SingularMatrix)
 from .exact import (RMatrix, Rational, block_compose, block_extract, identity,
                     mat_add, mat_inverse, mat_mul, mat_pow, mat_rank, mat_scale,
                     mat_sub, mat_transpose, partial_identity, zeros)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionMismatch", "FactoredMatrix", "GenInvError", "IndexOutOfRange",
-    "IndexTooLarge", "InternalInvariantViolation", "InvalidFactorization",
+    "IndexTooLarge", "InvalidFactorization",
     "MinimalPolynomial", "NotIdempotent", "ParseError", "PenroseReport",
     "RMatrix", "Rational", "SingularMatrix",
     "block_compose", "block_extract", "check", "compute_star_blocks",

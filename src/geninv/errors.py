@@ -29,10 +29,6 @@ class IndexTooLarge(GenInvError):
     """The group inverse exists only for matrices of index at most 1."""
 
 
-class InternalInvariantViolation(RuntimeError):
-    """A relation that is guaranteed to hold failed; this is a bug, not bad input."""
-
-
 class ParseError(Exception):
     """A matrix file could not be parsed; carries the offending location."""
 

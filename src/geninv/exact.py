@@ -21,11 +21,11 @@ elimination leaves, ``block_compose``'s blocks, ``square``'s stacked powers)
 is put over the lcm of theirs by one builder, ``_over_lcm``: a sum adds where
 those concatenate. No other module takes an lcm.
 
-Rank, inverse, pivot columns and the full-rank reduction share one
-elimination, ``_echelon``, on rows of integer numerators over a denominator.
-Its only arithmetic is ``_eliminate``: an integer row step, then one gcd to
-cancel the row's common factor. ``square``'s minimal-polynomial scan reduces
-its rows with ``_eliminate`` too.
+Rank, inverse, the skeleton (pivot columns and rows) and the full-rank
+reduction share one elimination, ``_echelon``, on rows of integer numerators
+over a denominator. Its only arithmetic is ``_eliminate``: an integer row
+step, then one gcd to cancel the row's common factor. ``square``'s
+minimal-polynomial scan reduces its rows with ``_eliminate`` too.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -322,11 +322,13 @@ def mat_rank(a: RMatrix) -> int:
     return _echelon([(list(row), a._den) for row in _rows(a)], a.cols)[0]
 
 
-def _pivot_columns(a: RMatrix) -> RMatrix:
-    """The columns of a at its echelon's pivots, a basis of the range of a."""
+def _skeleton(a: RMatrix) -> tuple[RMatrix, RMatrix]:
+    """(C, R) = (A[:,J], A[I,:]) for the pivot rows I and columns J of one elimination
+    of A: len(I) == len(J) == rank(A), A[I,J] is regular and A == C*A[I,J]^-1*R."""
     rows = _rows(a)
-    r, _, cols = _echelon([(list(row), a._den) for row in rows], a.cols)
-    return _make(a.rows, r, [row[j] for row in rows for j in cols[:r]], a._den)
+    r, _, order, cols = _echelon([(list(row), a._den) for row in rows], a.cols)
+    return (_make(a.rows, r, [row[j] for row in rows for j in cols[:r]], a._den),
+            _make(r, a.cols, [x for i in order[:r] for x in rows[i]], a._den))
 
 
 def _unit(i: int, n: int, x: int = 1) -> tuple[int, ...]:
@@ -348,20 +350,22 @@ def _eliminate(row, prow, c: int):
 
 def _echelon(rows, width: int):
     """Forward elimination of (numerators, denominator) rows, each numerator
-    row a list: (rank, echelon rows, cols).
+    row a list: (rank, echelon rows, order, cols).
 
     Step t's pivot is the first nonzero entry, row-major, of rows t.. and
     columns t..width-1; its row and column are swapped into place t, and
-    cols[t] is the input column now at t.
+    order[t] and cols[t] are the input row and column now at t. Row t is
+    input row order[t] less multiples of the rows above it.
     """
-    m, cols = len(rows), list(range(width))
+    m, order, cols = len(rows), list(range(len(rows))), list(range(width))
     for t in range(min(m, width)):
         found = next(((i, j) for i in range(t, m) for j in range(t, width)
                       if rows[i][0][j]), None)
         if found is None:
-            return t, rows, cols
+            return t, rows, order, cols
         i, j = found
         rows[t], rows[i] = rows[i], rows[t]
+        order[t], order[i] = order[i], order[t]
         if j != t:
             cols[t], cols[j] = cols[j], cols[t]
             for nums, _ in rows:
@@ -369,14 +373,14 @@ def _echelon(rows, width: int):
         for i in range(t + 1, m):
             if rows[i][0][t]:
                 rows[i] = _eliminate(rows[i], rows[t], t)
-    return min(m, width), rows, cols
+    return min(m, width), rows, order, cols
 
 
 def _solve(rows) -> RMatrix:
     """A^-1 * B from the (numerators, denominator) rows of [A | B], A n x n."""
     n = len(rows)
     width = len(rows[0][0]) - n if rows else 0
-    rank, rows, cols = _echelon(rows, n)
+    rank, rows, _, cols = _echelon(rows, n)
     if rank < n:
         raise SingularMatrix(f"matrix of size {n} has rank below {n}")
     for t in range(n - 1, 0, -1):

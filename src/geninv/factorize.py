@@ -48,7 +48,8 @@ def full_rank_reduce(a: RMatrix) -> FactoredMatrix:
     row-major order.
     """
     m, n, den = a.rows, a.cols, a._den
-    r, rows, cols = _echelon([([*row, *_unit(i, m, den)], den) for i, row in enumerate(_rows(a))], n)
+    r, rows, _, cols = _echelon([([*row, *_unit(i, m, den)], den)
+                                 for i, row in enumerate(_rows(a))], n)
     q = _over_lcm(m, m, [(nums[n:], nums[t] if t < r else d) for t, (nums, d) in enumerate(rows)])
     # row t < r of [[U1, U2], [0, I] | I] times its pivot: numerators, then pivot at t
     u_inv = _solve([([*rows[t][0][:n], *_unit(t, n, rows[t][0][t])], 1) if t < r

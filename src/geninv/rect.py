@@ -28,9 +28,9 @@ against ``penrose.check``.
 
 ``moore_penrose`` takes A alone and needs no reduction. It is MacDuffee's
 full-rank form (Ben-Israel & Greville, *Generalized Inverses*, ch. 1): for
-A = F*G of full rank, A^+ = Gt*(Ft*A*Gt)^-1*Ft. With C the pivot columns and
-R the pivot rows of A, A = C*M*R for a regular r x r M, and F = C, G = M*R
-give A^+ = Rt*(Ct*A*Rt)^-1*Ct, the M cancelling. The paper's block formula
+A = F*G of full rank, A^+ = Gt*(Ft*A*Gt)^-1*Ft. A's pivot columns C = A[:,J]
+and rows R = A[I,:] (``exact._skeleton``) give A = C*U^-1*R, U = A[I,J], and
+F = C, G = U^-1*R give A^+ = Rt*(Ct*A*Rt)^-1*Ct. The paper's block formula
 P*[[I, -S2*S4^-1], [-T4^-1*T3, T4^-1*T3*S2*S4^-1]]*Q gives the same matrix on
 every reduction, which the tests assert.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DimensionMismatch, NotIdempotent
-from .exact import (RMatrix, _pivot_columns, block_compose, block_extract, identity, mat_add,
+from .exact import (RMatrix, _skeleton, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix
 
@@ -194,6 +194,6 @@ def moore_penrose(a: RMatrix) -> RMatrix:
     """The Moore-Penrose inverse, the unique matrix satisfying all four
     defining equations: Rt*(Ct*A*Rt)^-1*Ct for the pivot columns C and pivot
     rows R of A, an n x m zero at rank 0 (C is m x 0)."""
-    ct = mat_transpose(_pivot_columns(a))
-    rt = _pivot_columns(mat_transpose(a))
+    c, r = _skeleton(a)
+    ct, rt = mat_transpose(c), mat_transpose(r)
     return mat_mul(mat_mul(rt, mat_inverse(mat_mul(mat_mul(ct, a), rt))), ct)

@@ -10,9 +10,9 @@ do for ``is_ep``'s rank test against the definition A^+ = A^D.
 
 The Drazin inverse is Cline's full-rank form (R. E. Cline, SIAM J. Numer.
 Anal. 5, 1968; Ben-Israel & Greville, *Generalized Inverses*, ch. 4): for
-A^k = F*G of full rank, k >= index of A, A^D = F*(G*A*F)^-1*G. With C the
-pivot columns and R the pivot rows of A^k, A^k = C*U^-1*R for their regular
-intersection U, and F = C, G = U^-1*R give A^D = C*(R*A*C)^-1*R.
+A^k = F*G of full rank, k >= index of A, A^D = F*(G*A*F)^-1*G. A^k's pivot
+columns C = A^k[:,J] and rows R = A^k[I,:] (``exact._skeleton``) give
+A^k = C*U^-1*R, U = A^k[I,J], and F = C, G = U^-1*R give A^D = C*(R*A*C)^-1*R.
 
 The q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)), which the tests
 assert rather than each call, and makes the group inverse a polynomial in A:
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DimensionMismatch, IndexTooLarge, InternalInvariantViolation, SingularMatrix
-from .exact import (RMatrix, _eliminate, _from_grid, _make, _over_lcm, _pivot_columns, _unit,
+from .errors import DimensionMismatch, IndexTooLarge, SingularMatrix
+from .exact import (RMatrix, _eliminate, _from_grid, _make, _over_lcm, _skeleton, _unit,
                     block_compose, block_extract, identity, mat_add, mat_inverse, mat_mul,
                     mat_rank, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
@@ -135,8 +135,6 @@ def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> M
             lead = nums[width + degree]
             return MinimalPolynomial(tuple([Fraction(x, lead)
                                             for x in nums[width:width + degree + 1]]))
-        if degree == n:
-            raise InternalInvariantViolation("powers up to A^n are linearly independent")
         basis.append((pivot, row))
         # through the module global, so a wrapper bound in its place sees it
         powers.append(mat_mul(powers[degree], a) if degree else a)
@@ -205,8 +203,7 @@ def drazin_inverse(a: RMatrix) -> RMatrix:
     of A: zero for nilpotent A (C is n x 0), A^-1 for regular A (C = R = I)."""
     _require_square(a, "Drazin inverse")
     _, ak = _index_and_power(a)
-    c = _pivot_columns(ak)
-    r = mat_transpose(_pivot_columns(mat_transpose(ak)))
+    c, r = _skeleton(ak)
     return mat_mul(mat_mul(c, mat_inverse(mat_mul(mat_mul(r, a), c))), r)
 
 

@@ -6,10 +6,10 @@ import random
 
 from hypothesis import strategies as st
 
-from geninv import (FactoredMatrix, InternalInvariantViolation, MinimalPolynomial, RMatrix,
-                    SingularMatrix, compute_star_blocks, drazin_inverse, factor_with,
-                    full_rank_reduce, g12_inverse, identity, mat_inverse, mat_mul, mat_rank,
-                    mat_scale, mat_transpose)
+from geninv import (FactoredMatrix, MinimalPolynomial, RMatrix, SingularMatrix,
+                    compute_star_blocks, drazin_inverse, factor_with, full_rank_reduce,
+                    g12_inverse, identity, mat_inverse, mat_mul, mat_rank, mat_scale,
+                    mat_transpose)
 
 # 3x3 rank-2 matrix used by the first two worked examples.
 EX1 = RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -278,7 +278,7 @@ def ref_minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
         if pivot is None:
             return MinimalPolynomial(tuple(combo))
         if degree == n:
-            raise InternalInvariantViolation("powers up to A^n are linearly independent")
+            raise AssertionError("powers up to A^n are linearly independent")
         basis.append((pivot, vec, combo))
         degree += 1
         power = mat_mul(power, a)

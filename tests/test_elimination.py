@@ -3,7 +3,9 @@ dependence scan share one integer elimination; each must equal a plain
 Fraction loop from tests/support.py exactly: the same rank, the same
 inverse, the same P and Q, the same minimal polynomial. A second
 reduction, from A's rows and columns reversed, must pass ``factor_with``
-with the same rank. q(A), one integer product, must equal Horner's ``poly_at``."""
+with the same rank. q(A), one integer product, must equal Horner's ``poly_at``.
+The pseudoinverse and the Drazin inverse find their pivot columns and rows
+in one elimination."""
 
 import random
 from collections import Counter
@@ -14,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
-from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, full_rank_reduce, identity,
-                    index_of, mat_inverse, mat_mul, mat_rank, minimal_polynomial, moore_penrose,
-                    poly_at, q_polynomial, zeros)
+from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, exact, full_rank_reduce,
+                    identity, index_of, mat_inverse, mat_mul, mat_rank, minimal_polynomial,
+                    moore_penrose, poly_at, q_polynomial, zeros)
 from geninv.cli import parse_matrix_text, write_matrix
 from geninv.square import _combine
 
@@ -117,6 +119,7 @@ def assert_scan_matches_reference(a):
     scanned = []
     mu = minimal_polynomial(a, scanned)
     assert (mu.coeffs, mu.degree, mu.index) == (expected.coeffs, expected.degree, expected.index)
+    assert mu.degree <= a.rows  # Cayley-Hamilton: the scan stops by A^n
     assert all(type(c) is Fraction for c in mu.coeffs)
     powers = [identity(a.rows)]
     for _ in range(a.rows):
@@ -166,6 +169,47 @@ def test_seeded_square_corpus_scan_matches_reference():
             k = rng.randint(0, min(3, n - 1))
             a = support.rand_with_index(rng, k, n - k)
         assert_scan_matches_reference(a)
+
+
+def count_eliminations(monkeypatch, run, a) -> int:
+    """How many times run(a) calls ``exact._echelon``."""
+    calls = []
+    original = exact._echelon
+
+    def counted(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(exact, "_echelon", counted)
+        run(a)
+    return len(calls)
+
+
+def rank_two(seed, m, n):
+    rng = random.Random(seed)
+    return mat_mul(support.rand_matrix(rng, m, 2), support.rand_matrix(rng, 2, n))
+
+
+@pytest.mark.parametrize("a", [
+    rank_two(1, 6, 4), rank_two(2, 3, 7), zeros(4, 3), zeros(0, 3), zeros(3, 0),
+    support.rand_invertible(random.Random(5), 4),
+    support.rand_matrix(random.Random(6), 3, 5), support.rand_matrix(random.Random(7), 5, 3),
+], ids=lambda a: f"{a.rows}x{a.cols}")
+def test_moore_penrose_eliminates_twice(a, monkeypatch):
+    # one elimination finds the pivot columns and rows, one inverts Ct*A*Rt
+    assert count_eliminations(monkeypatch, moore_penrose, a) == 2
+
+
+@pytest.mark.parametrize("k, a", [
+    *((k, support.rand_with_index(random.Random(10 + k), k, 5 - k)) for k in range(4)),
+    (3, support.nilpotent_jordan(3)), (1, zeros(3, 3)), (0, identity(2)),
+], ids=lambda v: v if isinstance(v, int) else f"{v.rows}x{v.cols}")
+def test_drazin_inverse_eliminates_k_plus_3_times(k, a, monkeypatch):
+    # k + 1 ranks find the index, then one elimination finds the pivot
+    # columns and rows of A^k, and one inverts R*A*C
+    assert index_of(a) == k
+    assert count_eliminations(monkeypatch, drazin_inverse, a) == k + 3
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",

@@ -182,6 +182,57 @@ class TestRank:
         assert mat_rank(mat_transpose(a)) == mat_rank(a)
 
 
+@st.composite
+def rank_products(draw):
+    """L*R of an m x k and a k x n rational factor, 0..5 per side: rank at most k."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    k = draw(st.integers(0, min(m, n)))
+
+    def grid(rows, cols):
+        return RMatrix(rows, cols, tuple(tuple(draw(st.lists(rationals(), min_size=cols,
+                                                             max_size=cols)))
+                                         for _ in range(rows)))
+
+    return mat_mul(grid(m, k), grid(k, n))
+
+
+def assert_skeleton(a):
+    """C and R are A's columns at J and its rows at I, for the pivots I = order[:r]
+    and J = cols[:r] of A's elimination; |I| = |J| = rank(A), A[I,J] is regular and
+    C*A[I,J]^-1*R == A, the rank and the inverse taken from the Fraction oracles."""
+    c, r = exact._skeleton(a)
+    rank, _, order, cols = exact._echelon([(list(row), a._den) for row in exact._rows(a)],
+                                          a.cols)
+    pivot_rows, pivot_cols, grid = order[:rank], cols[:rank], a.entries
+    assert c == RMatrix(a.rows, rank, tuple(tuple(row[j] for j in pivot_cols) for row in grid))
+    assert r == RMatrix(rank, a.cols, tuple(grid[i] for i in pivot_rows))
+    assert len(set(pivot_rows)) == len(set(pivot_cols)) == rank == mat_rank(a)
+    assert rank == support.ref_rank(a)
+    u = RMatrix(rank, rank, tuple(tuple(grid[i][j] for j in pivot_cols) for i in pivot_rows))
+    assert mat_mul(mat_mul(c, support.ref_inverse(u)), r) == a  # SingularMatrix if u is not
+
+
+def rational_rows(*rows):
+    return RMatrix.from_rows([[Fraction(v) for v in row.split()] for row in rows])
+
+
+class TestSkeleton:
+    @pytest.mark.parametrize("a", [
+        zeros(0, 3), zeros(3, 0), zeros(0, 0), zeros(3, 4),
+        rational_rows("0 1/2 0 3", "2/3 0 -1 5/7"),  # full row rank, wide
+        rational_rows("0 0", "0 -3/2", "1/3 0", "4 5"),  # full column rank, tall
+        rational_rows("0 0 0", "1/2 -1 3", "1 -2 6", "0 1/3 1", "1/2 -2/3 4"),  # tall, rank 2
+        rational_rows("0 0 1/2 1 0", "0 0 1 2 0", "0 3/4 0 0 -1"),  # wide, rank 2
+        rational_rows("5/6 -1/4", "-5/3 1/2"),  # square, rank 1
+    ], ids=lambda a: f"{a.rows}x{a.cols}")
+    def test_named_inputs(self, a):
+        assert_skeleton(a)
+
+    @given(rank_products())
+    def test_products(self, a):
+        assert_skeleton(a)
+
+
 class TestBlocks:
     def test_compose_middle_factor(self):
         # middle factor of the 3x3 pseudoinverse: [[I2, x1], [x2, x3]]

@@ -6,9 +6,12 @@ a workload must leave idle fails the test suite and not only the benchmark."""
 import importlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import support
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -61,6 +64,17 @@ def test_tracer_sees_the_square_routes(monkeypatch):
     names = ("square.minimal_polynomial", "square.q_polynomial", "exact.mat_inverse")
     calls = per_call(monkeypatch, names, (geninv.drazin_inverse, geninv.group_inverse_poly), a)
     assert calls == [[0, 0, 1], [1, 1, 0]]
+
+
+def test_tracer_sees_the_drazin_ranks(monkeypatch):
+    # drazin_inverse reaches mat_rank only in the rank sequence, k + 1 times at
+    # index k: its pivot columns and rows come from an elimination of their own
+    geninv = importlib.import_module("geninv")
+    for k in range(4):
+        a = support.rand_with_index(random.Random(k), k, 4 - k)
+        assert geninv.index_of(a) == k
+        calls = per_call(monkeypatch, ("exact.mat_rank",), (geninv.drazin_inverse,), a)
+        assert calls == [[k + 1]]
 
 
 def test_tracer_sees_the_pseudoinverse_route(monkeypatch):
