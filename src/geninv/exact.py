@@ -23,9 +23,10 @@ those concatenate. No other module takes an lcm.
 
 Rank, inverse, the skeleton (pivot columns and rows) and the full-rank
 reduction share one elimination, ``_echelon``, on rows of integer numerators
-over a denominator. Its only arithmetic is ``_eliminate``: an integer row
-step, then one gcd to cancel the row's common factor. ``square``'s
-minimal-polynomial scan reduces its rows with ``_eliminate`` too.
+over a denominator; the inverse and the reduction then share one
+back-substitution among the pivot rows, ``_gauss_jordan``. The only
+arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel the
+row's common factor. ``square``'s minimal-polynomial scan uses it too.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -376,17 +377,23 @@ def _echelon(rows, width: int):
     return min(m, width), rows, order, cols
 
 
+def _gauss_jordan(rows, width: int):
+    """``_echelon``'s (rank, rows, cols), each pivot row then cleared at the later pivots."""
+    r, rows, _, cols = _echelon(rows, width)
+    for t in range(r - 1, 0, -1):
+        for s in range(t):
+            if rows[s][0][t]:
+                rows[s] = _eliminate(rows[s], rows[t], t)
+    return r, rows, cols
+
+
 def _solve(rows) -> RMatrix:
     """A^-1 * B from the (numerators, denominator) rows of [A | B], A n x n."""
     n = len(rows)
     width = len(rows[0][0]) - n if rows else 0
-    rank, rows, _, cols = _echelon(rows, n)
+    rank, rows, cols = _gauss_jordan(rows, n)
     if rank < n:
         raise SingularMatrix(f"matrix of size {n} has rank below {n}")
-    for t in range(n - 1, 0, -1):
-        for s in range(t):
-            if rows[s][0][t]:
-                rows[s] = _eliminate(rows[s], rows[t], t)
     out = [()] * n
     for t, (nums, _) in enumerate(rows):  # row t of (A*Pi)^-1 * B is row cols[t] of A^-1 * B
         out[cols[t]] = (nums[n:], nums[t])

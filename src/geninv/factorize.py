@@ -1,11 +1,11 @@
-"""Full-rank reduction by elementary row and column operations.
+"""Full-rank reduction: regular P and Q with Q*A*P = E_r, r the rank of A.
 
-Any rational m x n matrix A can be driven to the partial identity E_r by
-elementary operations. Recording the row operations in Q and the column
-operations in P yields regular matrices with Q*A*P = E_r, where r is the
-rank of A. The pair (P, Q) is not unique; downstream constructions that
-are unique (such as the Moore-Penrose inverse) do not depend on the choice.
-``full_rank_reduce`` makes one choice, and ``factor_with`` accepts any other.
+``full_rank_reduce`` takes the block Gauss-Jordan form on A's pivot block
+U = A[I,J]: with Pr*A*Pc = [[U, B], [D, E]], Q = [[U^-1, 0], [-D*U^-1, I]]*Pr
+and P = Pc*[[I, -U^-1*B], [0, I]] give Q*A*P = [[I, 0], [0, E - D*U^-1*B]],
+which is E_r since E = D*U^-1*B at rank r. The pair is not unique; unique
+constructions (such as the Moore-Penrose inverse) do not depend on the
+choice, and ``factor_with`` accepts any other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidFactorization
-from .exact import (RMatrix, _echelon, _make, _over_lcm, _rows, _solve, _unit, mat_mul, mat_rank,
+from .exact import (RMatrix, _gauss_jordan, _over_lcm, _rows, _unit, mat_mul, mat_rank,
                     partial_identity)
 
 
@@ -39,25 +39,18 @@ class FactoredMatrix:
 
 
 def full_rank_reduce(a: RMatrix) -> FactoredMatrix:
-    """Reduce A to E_r by row operations (Q) and column operations (P).
-
-    Q is the right half of the forward elimination of [A | I_m], each pivot
-    row divided by its pivot. With Pi the column swaps and U the echelon rows
-    so scaled, P = Pi * [[U1, U2], [0, I]]^-1, the column operations that
-    clear each pivot row. Each pivot is the first nonzero entry left, in
-    row-major order.
-    """
+    """Q = [[U^-1, 0], [-D*U^-1, I]]*Pr and P = Pc*[[I, -U^-1*B], [0, I]] for
+    Pr*A*Pc = [[U, B], [D, E]]: Q*A*P = E_r as E = D*U^-1*B at rank r. One
+    Gauss-Jordan pass over [A | I_m] gives Q as its right half, pivot rows over
+    their pivots, and P's row cols[t] from pivot row t, columns r..n-1 negated."""
     m, n, den = a.rows, a.cols, a._den
-    r, rows, _, cols = _echelon([([*row, *_unit(i, m, den)], den)
-                                 for i, row in enumerate(_rows(a))], n)
+    r, rows, cols = _gauss_jordan([([*row, *_unit(i, m, den)], den)
+                                   for i, row in enumerate(_rows(a))], n)
     q = _over_lcm(m, m, [(nums[n:], nums[t] if t < r else d) for t, (nums, d) in enumerate(rows)])
-    # row t < r of [[U1, U2], [0, I] | I] times its pivot: numerators, then pivot at t
-    u_inv = _solve([([*rows[t][0][:n], *_unit(t, n, rows[t][0][t])], 1) if t < r
-                    else ([*_unit(t, n), *_unit(t, n)], 1) for t in range(n)])
-    p = [()] * n
-    for t, row in enumerate(_rows(u_inv)):
-        p[cols[t]] = row
-    return FactoredMatrix(a=a, p=_make(n, n, [x for row in p for x in row], u_inv._den), q=q, r=r)
+    parts = [([*nums[:r], *[-x for x in nums[r:n]]], nums[t])
+             for t, (nums, _) in enumerate(rows[:r])] + [(_unit(t, n), 1) for t in range(r, n)]
+    p = dict(zip(cols, parts))  # row cols[t] of P is row t of [[I, -U^-1*B], [0, I]]
+    return FactoredMatrix(a=a, p=_over_lcm(n, n, [p[j] for j in range(n)]), q=q, r=r)
 
 
 def verify_factorization(f: FactoredMatrix) -> bool:

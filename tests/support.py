@@ -221,13 +221,15 @@ def ref_inverse(a: RMatrix) -> RMatrix:
     return RMatrix(n, n, tuple(tuple(r[n:]) for r in aug))
 
 
-def ref_full_rank_reduce(a: RMatrix) -> tuple[RMatrix, RMatrix, int]:
-    """(P, Q, r) from row and column operations mirrored into Q and P; each
-    pivot is the first nonzero entry left, row-major."""
+def ref_reduced_echelon(a: RMatrix):
+    """(rows, order, cols, r): the reduced row echelon form of [A | I_m], A of
+    rank r. Each pivot is the first nonzero entry left in A's part, row-major;
+    its row and column are swapped into place t, where order[t] and cols[t]
+    name the input row and column now at t. The pivot row is scaled to a unit
+    pivot, then every other row is cleared at the pivot's column."""
     m, n = a.rows, a.cols
-    b = [list(row) for row in a.entries]
-    q = [[Fraction(i == j) for j in range(m)] for i in range(m)]
-    p = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    b = [list(row) + [Fraction(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
+    order, cols = list(range(m)), list(range(n))
     t = 0
     while t < min(m, n):
         found = next(((i, j) for i in range(t, m) for j in range(t, n) if b[i][j]), None)
@@ -235,25 +237,52 @@ def ref_full_rank_reduce(a: RMatrix) -> tuple[RMatrix, RMatrix, int]:
             break
         pi, pj = found
         b[t], b[pi] = b[pi], b[t]
-        q[t], q[pi] = q[pi], q[t]
-        for row in b + p:
+        order[t], order[pi] = order[pi], order[t]
+        cols[t], cols[pj] = cols[pj], cols[t]
+        for row in b:
             row[t], row[pj] = row[pj], row[t]
         inv_piv = 1 / b[t][t]
         b[t] = [v * inv_piv for v in b[t]]
-        q[t] = [v * inv_piv for v in q[t]]
         for i in range(m):
             f = b[i][t]
             if f and i != t:
                 b[i] = [v - f * w for v, w in zip(b[i], b[t])]
-                q[i] = [v - f * w for v, w in zip(q[i], q[t])]
-        for j in range(t + 1, n):
-            f = b[t][j]
-            if f:
-                for row in b + p:
-                    row[j] -= f * row[t]
         t += 1
+    return b, order, cols, t
+
+
+def ref_full_rank_reduce(a: RMatrix) -> tuple[RMatrix, RMatrix, int]:
+    """(P, Q, r) from the reduced row echelon form of [A | I_m]: Q is its right
+    half, and row cols[t] of P is row t of [[I, -U^-1*B], [0, I]], which is the
+    unit row t with, for a pivot row t < r, its columns r..n-1 negated."""
+    m, n = a.rows, a.cols
+    b, _, cols, r = ref_reduced_echelon(a)
+    p = [None] * n
+    for t in range(n):
+        row = [Fraction(j == t) for j in range(n)]
+        if t < r:
+            row[r:] = [-v for v in b[t][r:n]]
+        p[cols[t]] = row
     return (RMatrix(n, n, tuple(tuple(row) for row in p)),
-            RMatrix(m, m, tuple(tuple(row) for row in q)), t)
+            RMatrix(m, m, tuple(tuple(row[n:]) for row in b)), r)
+
+
+def ref_det(grid) -> Fraction:
+    """The determinant of a square grid by Fraction elimination; 1 for 0x0."""
+    g = [[Fraction(v) for v in row] for row in grid]
+    det = Fraction(1)
+    for t in range(len(g)):
+        piv = next((i for i in range(t, len(g)) if g[i][t]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != t:
+            g[t], g[piv] = g[piv], g[t]
+            det = -det
+        det *= g[t][t]
+        for i in range(t + 1, len(g)):
+            f = g[i][t] / g[t][t]
+            g[i] = [v - f * w for v, w in zip(g[i], g[t])]
+    return det
 
 
 def ref_minimal_polynomial(a: RMatrix) -> MinimalPolynomial:

@@ -15,7 +15,7 @@ from support import rmatrices, second_reduction, with_permutations
 
 def test_reduce_golden_matrix():
     f = full_rank_reduce(support.EX1)
-    assert f.r == 2
+    assert (f.p, f.q, f.r) == (support.EX1_P, support.EX1_Q, 2)
     assert verify_factorization(f)
     assert mat_mul(mat_mul(f.q, f.a), f.p) == partial_identity(3, 3, 2)
 
@@ -100,3 +100,19 @@ def test_factors_are_regular():
     f = full_rank_reduce(support.EX3)
     assert mat_mul(f.p, mat_inverse(f.p)) == identity(5)
     assert mat_mul(f.q, mat_inverse(f.q)) == identity(5)
+
+
+def test_reduction_is_over_the_pivot_minor():
+    # Q = [[U^-1, 0], [-D*U^-1, I]]*Pr and P = Pc*[[I, -U^-1*B], [0, I]] with
+    # U = A[I,J] = N/d for N the integer numerators there: every entry of P and
+    # Q is over det(N)
+    rng = random.Random(20261021)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(1, min(m, n))
+        a = mat_mul(support.rand_matrix(rng, m, k), support.rand_matrix(rng, k, n))
+        f = full_rank_reduce(a)
+        _, order, cols, r = support.ref_reduced_echelon(a)
+        det = support.ref_det([[a._nums[i * n + j] for j in cols[:r]] for i in order[:r]])
+        assert r == f.r and det.denominator == 1 and det != 0
+        assert det.numerator % f.p._den == 0 and det.numerator % f.q._den == 0

@@ -43,6 +43,18 @@ def test_only_exact_takes_an_lcm():
     assert takers == {"exact.py"}
 
 
+def test_only_exact_runs_the_elimination():
+    # the pivot policy is decided in exact alone: no other module names _echelon
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "_echelon" \
+                    or isinstance(node, ast.Attribute) and node.attr == "_echelon" \
+                    or isinstance(node, ast.alias) and node.name == "_echelon":
+                callers.add(path.name)
+    assert callers == {"exact.py"}
+
+
 REIMPORT = """
 import gc, sys
 for _ in range(10):
