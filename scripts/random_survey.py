@@ -8,7 +8,9 @@ A third of the draws are m x n: half of them random matrices, which are
 almost never rank-deficient, and half low-rank products L*R with m != n and
 rank below min(m, n). The rest are square: half of them low-rank products
 L*R, which have index 1 in general, and half S*diag(N_k, M)*S^-1 with the
-k x k nilpotent Jordan block N_k, k from 1 to 3, whose index is exactly k."""
+k x k nilpotent Jordan block N_k, k from 1 to 3, whose index is exactly k.
+On every square draw the minimal polynomial must annihilate A and have the
+rank sequence's index as its lowest nonzero degree."""
 
 import argparse
 import random
@@ -20,7 +22,7 @@ from geninv import (RMatrix, block_compose, check, drazin_inverse, full_rank_red
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
                     g13_inverse, g134_inverse, g14_inverse, group_inverse_block,
                     group_inverse_poly, index_of, is_ep, mat_inverse, mat_mul, mat_rank,
-                    moore_penrose, verify_factorization, zeros)
+                    minimal_polynomial, moore_penrose, poly_at, verify_factorization, zeros)
 
 G_INVERSES = (("{1}", g1_inverse), ("{1,2}", g12_inverse), ("{1,3}", g13_inverse),
               ("{1,2,3}", g123_inverse), ("{1,4}", g14_inverse),
@@ -103,6 +105,9 @@ def main():
             k = index_of(a)
             assert fixed_index in (None, k)
             indexes[k] += 1
+            mu = minimal_polynomial(a)
+            assert mu.index == k
+            assert poly_at(mu.coeffs, a) == zeros(a.rows, a.rows)
             drazin = drazin_inverse(a)
             assert "Drazin" in check(a, drazin).classes
             if k <= 1:

@@ -17,16 +17,17 @@ entry is one integer dot product over the product of the two denominators,
 a sum puts both grids over the lcm of theirs, and the only normalisation is
 one gcd over the result's grid. Every other matrix made of parts over several
 denominators (a grid of ``Fraction``s, MatrixFile entries, the rows an
-elimination leaves, ``block_compose``'s blocks, ``square``'s stacked powers)
-is put over the lcm of theirs by one builder, ``_over_lcm``: a sum adds where
-those concatenate. No other module takes an lcm.
+elimination leaves, ``block_compose``'s blocks) is put over the lcm of theirs
+by one builder, ``_over_lcm``: a sum adds where those concatenate. No other
+module takes an lcm.
 
 Rank, inverse, the skeleton (pivot columns and rows) and the full-rank
 reduction share one elimination, ``_echelon``, on rows of integer numerators
 over a denominator; the inverse and the reduction then share one
 back-substitution among the pivot rows, ``_gauss_jordan``. The only
 arithmetic is ``_eliminate``: an integer row step, then one gcd to cancel the
-row's common factor. ``square``'s minimal-polynomial scan uses it too.
+row's common factor. ``_annihilator``, behind ``square``'s minimal
+polynomial, uses it too.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -347,6 +348,25 @@ def _eliminate(row, prow, c: int):
     if g == 1:
         return nums, den
     return [x // g for x in nums], den // g
+
+
+def _annihilator(x: RMatrix, a: RMatrix) -> list[int]:
+    """The coprime integer coefficients, from degree 0, of the least-degree h
+    with x*h(A) = 0, up to sign: the first dependence among the rows
+    [vec(x*A^j) | e_j], each reduced by ``_eliminate`` in turn; deg h <= n."""
+    n, width = a.rows, len(x._nums)
+    basis = []  # (pivot column, reduced row), in the order they were added
+    for degree in range(n + 1):
+        row = [*x._nums, *_unit(degree, n + 1, x._den)], x._den
+        for pivot, brow in basis:
+            if row[0][pivot]:
+                row = _eliminate(row, brow, pivot)
+        pivot = next((j for j in range(width) if row[0][j]), None)
+        if pivot is None:
+            g = gcd(*row[0][width:])  # the later units' places are 0
+            return [c // g for c in row[0][width:width + degree + 1]]
+        basis.append((pivot, row))
+        x = mat_mul(x, a)  # through the module global, so a tracer sees it
 
 
 def _echelon(rows, width: int):

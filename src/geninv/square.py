@@ -14,21 +14,25 @@ A^k = F*G of full rank, k >= index of A, A^D = F*(G*A*F)^-1*G. A^k's pivot
 columns C = A^k[:,J] and rows R = A^k[I,:] (``exact._skeleton``) give
 A^k = C*U^-1*R, U = A^k[I,J], and F = C, G = U^-1*R give A^D = C*(R*A*C)^-1*R.
 
+The minimal polynomial is the lcm of the unit rows' annihilators (Gantmacher,
+*The Theory of Matrices*, vol. 1; Augot & Camion, Linear Algebra Appl. 260,
+1997): from p = 1, for each unit row e_i while deg p < n, p becomes
+p*h = lcm(p, mu of e_i) for the annihilator h of e_i*p(A), ``exact._annihilator``.
+
 The q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)), which the tests
 assert rather than each call, and makes the group inverse a polynomial in A:
-A*q(A)^2, or q(A) = A^-1 for a regular A.
+A*q(A)^2, or q(A) = A^-1 for a regular A, with q(A) by Horner's ``poly_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DimensionMismatch, IndexTooLarge, SingularMatrix
-from .exact import (RMatrix, _eliminate, _from_grid, _make, _over_lcm, _skeleton, _unit,
-                    block_compose, block_extract, identity, mat_add, mat_inverse, mat_mul,
-                    mat_rank, mat_scale, mat_transpose, zeros)
+from .exact import (RMatrix, _annihilator, _make, _skeleton, _unit, block_compose,
+                    block_extract, identity, mat_add, mat_inverse, mat_mul, mat_rank,
+                    mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
 from .rect import g12_inverse
 
@@ -88,57 +92,34 @@ def _require_square(a: RMatrix, what: str) -> None:
 
 
 def poly_at(coeffs, a: RMatrix) -> RMatrix:
-    """Evaluate a polynomial at a square matrix by Horner's scheme. No library
-    function calls it; it is kept as the independent evaluation the tests hold
-    ``_combine`` and ``drazin_inverse`` against, and perfbench's tracer counts it."""
+    """Evaluate a polynomial at a square matrix by Horner's scheme, one product per degree."""
     _require_square(a, "polynomial evaluation")
-    n = a.rows
+    return _horner(coeffs, identity(a.rows), a)
+
+
+def _horner(coeffs, x: RMatrix, a: RMatrix) -> RMatrix:
+    """x*p(A) by Horner's scheme, for p's int or ``Fraction`` coefficients."""
     *lower, lead = coeffs or (0,)
-    acc = mat_scale(identity(n), lead)
+    acc = mat_scale(x, lead)
     for c in reversed(lower):
         acc = mat_mul(acc, a)
         if c:
-            acc = mat_add(acc, mat_scale(identity(n), c))
+            acc = mat_add(acc, mat_scale(x, c))
     return acc
 
 
-def _combine(coeffs, powers: list[RMatrix]) -> RMatrix:
-    """The sum of c_j * A^j over the ``Fraction`` coefficients as one product,
-    the 1 x d row of them times the d x n^2 stack of the flattened powers
-    A^0 .. A^(d-1) from ``powers``, put over the lcm of their denominators and
-    read back as n x n."""
-    n, d = powers[0].rows, len(coeffs)
-    stack = _over_lcm(d, n * n, [(p._nums, p._den) for p in powers[:d]])
-    flat = mat_mul(_from_grid(1, d, (coeffs,)), stack)
-    return _make(n, n, flat._nums, flat._den)
-
-
-def minimal_polynomial(a: RMatrix, _powers: Optional[list[RMatrix]] = None) -> MinimalPolynomial:
-    """Least-degree monic polynomial with mu(A) = 0: the first dependence among
-    the integer rows [vec(A^j) | e_j], each reduced by ``_eliminate`` in turn.
-    A list passed as ``_powers`` receives A^0 .. A^(deg mu)."""
+def minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
+    """Least-degree monic polynomial with mu(A) = 0: the lcm of the unit rows'
+    annihilators, in integers until the one division that makes it monic."""
     _require_square(a, "minimal polynomial")
-    n, width = a.rows, a.rows ** 2
-    powers = [] if _powers is None else _powers
-    powers.append(identity(n))
-    basis = []  # (pivot column, reduced row), in the order they were added
-    degree = 0
-    while True:
-        power = powers[degree]
-        row = [*power._nums, *_unit(degree, n + 1, power._den)], power._den
-        for pivot, brow in basis:
-            if row[0][pivot]:
-                row = _eliminate(row, brow, pivot)
-        nums = row[0]
-        pivot = next((j for j in range(width) if nums[j]), None)
-        if pivot is None:
-            lead = nums[width + degree]
-            return MinimalPolynomial(tuple([Fraction(x, lead)
-                                            for x in nums[width:width + degree + 1]]))
-        basis.append((pivot, row))
-        # through the module global, so a wrapper bound in its place sees it
-        powers.append(mat_mul(powers[degree], a) if degree else a)
-        degree += 1
+    n, p = a.rows, [1]
+    for i in range(n):
+        if len(p) > n:
+            break
+        h = _annihilator(_horner(p, _make(1, n, _unit(i, n), 1), a), a)
+        p = [sum(p[j] * h[d - j] for j in range(len(p)) if 0 <= d - j < len(h))
+             for d in range(len(p) + len(h) - 1)]  # p*h = lcm(p, mu of e_i)
+    return MinimalPolynomial(tuple([Fraction(c, p[-1]) for c in p]))
 
 
 def q_polynomial(mu: MinimalPolynomial) -> tuple[Fraction, ...]:
@@ -167,11 +148,10 @@ def group_inverse_poly(a: RMatrix) -> RMatrix:
     """The group inverse, which requires index at most 1: A*q(A)^2, or
     q(A) = A^-1 for a regular A. q(A) itself is a {1}-inverse of A at index 1."""
     _require_square(a, "group inverse")
-    powers = []
-    mu = minimal_polynomial(a, powers)
+    mu = minimal_polynomial(a)
     if mu.index > 1:
         raise IndexTooLarge(f"group inverse requires index <= 1, got {mu.index}")
-    qa = _combine(q_polynomial(mu), powers)
+    qa = poly_at(q_polynomial(mu), a)
     return qa if mu.index == 0 else mat_mul(a, mat_mul(qa, qa))
 
 

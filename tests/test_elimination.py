@@ -1,11 +1,12 @@
-"""Rank, inverse, the full-rank reduction and the minimal polynomial's
-dependence scan share one integer elimination; each must equal a plain
-Fraction loop from tests/support.py exactly: the same rank, the same
+"""Rank, inverse, the full-rank reduction and the annihilator scans behind
+the minimal polynomial share one integer elimination step; each must equal a
+plain Fraction loop from tests/support.py exactly: the same rank, the same
 inverse, the same P and Q, the same minimal polynomial. A second
 reduction, from A's rows and columns reversed, must pass ``factor_with``
-with the same rank. q(A), one integer product, must equal Horner's ``poly_at``.
-The pseudoinverse and the Drazin inverse find their pivot columns and rows
-in one elimination, and the full-rank reduction is one elimination too."""
+with the same rank. The minimal polynomial makes only its own coefficients,
+and Horner's ``poly_at`` no ``Fraction`` at all. The pseudoinverse and the
+Drazin inverse find their pivot columns and rows in one elimination, and the
+full-rank reduction is one elimination too."""
 
 import random
 import sys
@@ -21,7 +22,6 @@ from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, exact, full_
                     identity, index_of, mat_inverse, mat_mul, mat_rank, minimal_polynomial,
                     moore_penrose, poly_at, q_polynomial, zeros)
 from geninv.cli import parse_matrix_text, write_matrix
-from geninv.square import _combine
 
 BIG = 1 << 200
 
@@ -117,20 +117,10 @@ def test_seeded_corpus_matches_reference():
 
 def assert_scan_matches_reference(a):
     expected = support.ref_minimal_polynomial(a)
-    scanned = []
-    mu = minimal_polynomial(a, scanned)
+    mu = minimal_polynomial(a)
     assert (mu.coeffs, mu.degree, mu.index) == (expected.coeffs, expected.degree, expected.index)
-    assert mu.degree <= a.rows  # Cayley-Hamilton: the scan stops by A^n
+    assert mu.degree <= a.rows  # Cayley-Hamilton: the lcm stops at degree n
     assert all(type(c) is Fraction for c in mu.coeffs)
-    powers = [identity(a.rows)]
-    for _ in range(a.rows):
-        powers.append(mat_mul(powers[-1], a))
-    assert scanned == powers[:mu.degree + 1]  # the scan hands back A^0 .. A^(deg mu)
-    mixed = tuple(Fraction((-1) ** j * (j + BIG * (j % 2)), j + 2) for j in range(a.rows + 1))
-    for coeffs in (mu.coeffs, q_polynomial(mu), mixed, mixed[:1]):
-        got = _combine(coeffs, powers)
-        assert got == poly_at(coeffs, a)
-        assert all(type(v) is Fraction for row in got.entries for v in row)
 
 
 @given(matrices(square=True))
@@ -246,19 +236,18 @@ def test_counters_count(monkeypatch):
     assert (calls["__mul__"], calls["__add__"], calls["__new__"]) == (1, 1, 4)
 
 
-def test_scan_and_combine_make_no_fraction_arithmetic(monkeypatch):
+def test_minimal_polynomial_and_poly_at_make_no_fraction_arithmetic(monkeypatch):
     a = RMatrix.from_rows([[Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + 2 * j) % 4)
                             for j in range(5)] for i in range(5)])
     mu = minimal_polynomial(a)
     q = q_polynomial(mu)
     assert mu.degree == 5 and len(q) == 5
     calls = count_fractions(monkeypatch)
-    powers = []
-    assert minimal_polynomial(a, powers) == mu
-    qa = _combine(q, powers)
+    assert minimal_polynomial(a) == mu
     assert calls == Counter({"__new__": len(mu.coeffs)})  # mu's coefficients, nothing else
-    monkeypatch.undo()
-    assert qa == poly_at(q, a)
+    calls.clear()
+    poly_at(q, a)  # TestPolyAt holds its value against a sum of powers
+    assert calls == Counter()
 
 
 def test_kernels_make_no_fraction(monkeypatch):

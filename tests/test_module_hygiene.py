@@ -43,16 +43,27 @@ def test_only_exact_takes_an_lcm():
     assert takers == {"exact.py"}
 
 
-def test_only_exact_runs_the_elimination():
-    # the pivot policy is decided in exact alone: no other module names _echelon
-    callers = set()
+def modules_naming(name):
+    """The library modules that name ``name``: as a name, an attribute or an import."""
+    namers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Name) and node.id == "_echelon" \
-                    or isinstance(node, ast.Attribute) and node.attr == "_echelon" \
-                    or isinstance(node, ast.alias) and node.name == "_echelon":
-                callers.add(path.name)
-    assert callers == {"exact.py"}
+            if isinstance(node, ast.Name) and node.id == name \
+                    or isinstance(node, ast.Attribute) and node.attr == name \
+                    or isinstance(node, ast.alias) and node.name == name:
+                namers.add(path.name)
+    return namers
+
+
+def test_only_exact_runs_the_elimination():
+    # the pivot policy is decided in exact alone: no other module names _echelon
+    assert modules_naming("_echelon") == {"exact.py"}
+
+
+def test_only_exact_steps_the_rows():
+    # the (numerators, denominator) rows and their integer step are exact's
+    # alone: the minimal polynomial's scan runs there too
+    assert modules_naming("_eliminate") == {"exact.py"}
 
 
 REIMPORT = """

@@ -14,7 +14,7 @@ from geninv import (DimensionMismatch, IndexTooLarge, MinimalPolynomial, RMatrix
                     mat_add, mat_inverse, mat_mul,
                     mat_pow, mat_rank, mat_scale, minimal_polynomial,
                     moore_penrose, poly_at, poly_str, q_polynomial,
-                    square, zeros)
+                    exact, square, zeros)
 from support import (NILPOTENT_2, drazin_onecheck, rand_index_one_singular,
                      rand_invertible, rand_matrix, rand_nilpotent, rand_symmetric_singular,
                      rand_with_index, rmatrices, second_reduction)
@@ -55,6 +55,52 @@ class TestMinimalPolynomial:
                    for d in range(mu.degree)]
         stacked = RMatrix.from_rows(vectors)
         assert mat_rank(stacked) == mu.degree
+
+    def test_derogatory_corpus_matches_jordan_form(self, monkeypatch):
+        # every input repeats a Jordan block, so deg mu < n and the lcm visits
+        # every unit row; on some, e_1's annihilator is not yet mu
+        real = square._annihilator
+        degrees = []
+        monkeypatch.setattr(square, "_annihilator",
+                            lambda x, a: degrees.append(len(h := real(x, a)) - 1) or h)
+        rng, multi_row = random.Random(20261020), 0
+        for _ in range(60):
+            grid, expected = conjugated_jordan_form(rng)
+            degrees.clear()
+            mu = minimal_polynomial(RMatrix(len(grid), len(grid), grid))
+            assert mu.coeffs == expected and mu.degree < len(grid) == len(degrees)
+            multi_row += sum(d > 0 for d in degrees) > 1
+        assert multi_row > 0
+
+
+def conjugated_jordan_form(rng):
+    """A Fraction grid S*diag(J_k1(l1), J_k2(l2), ...)*S^-1 with its first block
+    repeated, S a product of shears (row i += c*row j, then column j -= c*column
+    i), and the coefficients of its minimal polynomial, the product of
+    (x - l)^(largest block of l), from degree 0. Plain loops, no geninv."""
+    eigenvalues = rng.sample(range(-2, 3), rng.randint(1, 3))
+    blocks = [(rng.choice(eigenvalues), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    blocks.append(blocks[0])
+    n = sum(k for _, k in blocks)
+    grid, start = [[Fraction(0)] * n for _ in range(n)], 0
+    for lam, k in blocks:
+        for i in range(start, start + k):
+            grid[i][i] = Fraction(lam)
+            if i + 1 < start + k:
+                grid[i][i + 1] = Fraction(1)
+        start += k
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        grid[i] = [x + c * y for x, y in zip(grid[i], grid[j])]
+        for row in grid:
+            row[j] -= c * row[i]
+    mu = [Fraction(1)]
+    for lam in {lam for lam, _ in blocks}:
+        for _ in range(max(k for other, k in blocks if other == lam)):
+            mu = [(mu[d - 1] if d else 0) - lam * (mu[d] if d < len(mu) else 0)
+                  for d in range(len(mu) + 1)]
+    return grid, tuple(mu)
 
 
 class TestPolyAt:
@@ -280,15 +326,16 @@ class TestDrazinRoutes:
                 assert group_inverse_poly(a) == mat_mul(a, mat_pow(qa, 2))
 
     def test_each_power_formed_once(self, monkeypatch):
-        # only the list of powers and the rank sequence multiply a power of A
-        # by A: group_inverse_poly forms up to A^(deg mu) in the minimal
-        # polynomial's list, drazin_inverse and check up to A^(k+1) in the
-        # rank sequence. drazin_inverse's one other product by A is R*A, with
-        # R the pivot rows of A^k.
+        # only the rank sequence multiplies a power of A by A: drazin_inverse
+        # and check form up to A^(k+1) there. drazin_inverse's one other
+        # product by A is R*A, with R the pivot rows of A^k. minimal_polynomial
+        # multiplies only rows by A, and group_inverse_poly's other products by
+        # A are Horner's len(q) - 1 for q(A).
         products = []
         real_mul = square.mat_mul
-        monkeypatch.setattr(square, "mat_mul",
-                            lambda x, y: products.append((x, y)) or real_mul(x, y))
+        for module in (square, exact):  # exact's scan multiplies through its own global
+            monkeypatch.setattr(module, "mat_mul",
+                                lambda x, y: products.append((x, y)) or real_mul(x, y))
 
         def lefts_of_a(run, a):
             products.clear()
@@ -302,8 +349,11 @@ class TestDrazinRoutes:
             *sequence, r = lefts_of_a(drazin_inverse, a)
             assert sequence == lower
             assert r.rows == mat_rank(ak) and set(r.entries) <= set(ak.entries)
+            rows_by_a = lefts_of_a(minimal_polynomial, a)
+            assert len(rows_by_a) == len(products) and all(x.rows == 1 for x in rows_by_a)
             if k <= 1:
-                assert len(lefts_of_a(group_inverse_poly, a)) == mu.degree - 1
+                horner = len(q_polynomial(mu)) - 1
+                assert len(lefts_of_a(group_inverse_poly, a)) == len(rows_by_a) + horner
 
     def test_index_and_ep_routes_agree(self):
         # index_of reads the rank sequence and is_ep compares ranks; the

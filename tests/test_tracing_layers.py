@@ -56,14 +56,15 @@ def per_call(monkeypatch, names, runs, a):
 
 
 def test_tracer_sees_the_square_routes(monkeypatch):
-    # group_inverse_poly reaches minimal_polynomial and q_polynomial, and
-    # drazin_inverse mat_inverse, through module globals; a call made through
-    # any other reference reads 0 calls here
+    # group_inverse_poly reaches minimal_polynomial, q_polynomial and, for
+    # q(A), poly_at, and drazin_inverse mat_inverse, through module globals; a
+    # call made through any other reference reads 0 calls here
     geninv = importlib.import_module("geninv")
     a = geninv.RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # index 1
-    names = ("square.minimal_polynomial", "square.q_polynomial", "exact.mat_inverse")
+    names = ("square.minimal_polynomial", "square.q_polynomial", "square.poly_at",
+             "exact.mat_inverse")
     calls = per_call(monkeypatch, names, (geninv.drazin_inverse, geninv.group_inverse_poly), a)
-    assert calls == [[0, 0, 1], [1, 1, 0]]
+    assert calls == [[0, 0, 0, 1], [1, 1, 1, 0]]
 
 
 def test_tracer_sees_the_drazin_ranks(monkeypatch):
