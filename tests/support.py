@@ -328,6 +328,37 @@ def rmatrices(draw, min_dim: int = 1, max_dim: int = 5, square: bool = False):
     return RMatrix.from_rows(grid)
 
 
+WIDE = 1 << 64
+
+
+@st.composite
+def wide_rmatrices(draw, square: bool = False):
+    """Integer numerators up to 2^64 in size over one common denominator, 1 or
+    up to 2^32, 0..5 per side: plain, with repeated rows, or a product L*R of
+    rank at most k whose integer factors, up to 2^30 in size, keep its entries
+    below 2^63."""
+    m = draw(st.integers(0, 5))
+    n = m if square else draw(st.integers(0, 5))
+    den = draw(st.one_of(st.just(1), st.integers(1, 1 << 32)))
+
+    def ints(rows, cols, bound):
+        entry = st.one_of(st.just(0), st.integers(-bound, bound))
+        return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    kind = draw(st.sampled_from(("plain", "repeated", "product")))
+    if kind == "plain" or m == 0:
+        grid = ints(m, n, WIDE)
+    elif kind == "repeated":
+        base = ints(draw(st.integers(1, m)), n, WIDE)
+        grid = [draw(st.sampled_from(base)) for _ in range(m)]
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        left, right = ints(m, k, 1 << 30), ints(k, n, 1 << 30)
+        grid = [[sum(left[i][s] * right[s][j] for s in range(k)) for j in range(n)]
+                for i in range(m)]
+    return RMatrix(m, n, tuple(tuple(Fraction(x, den) for x in row) for row in grid))
+
+
 @st.composite
 def with_permutations(draw, matrices):
     """(A, rows, cols): a matrix drawn from ``matrices`` with an order of its

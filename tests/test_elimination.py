@@ -1,8 +1,10 @@
 """Rank, inverse, the full-rank reduction and the annihilator scans behind
-the minimal polynomial share one integer elimination step; each must equal a
-plain Fraction loop from tests/support.py exactly: the same rank, the same
-inverse, the same P and Q, the same minimal polynomial. A second
-reduction, from A's rows and columns reversed, must pass ``factor_with``
+the minimal polynomial run on integer rows; each must equal a plain Fraction
+loop from tests/support.py exactly: the same rank, the same inverse, the same
+P and Q, the same minimal polynomial, also on 64-bit numerators over a
+denominator of 1 or up to 32 bits. The elimination of an integer matrix is
+fraction-free, with no gcd, and a singular inverse stops before its
+back-substitution. A second reduction, from A's rows and columns reversed, must pass ``factor_with``
 with the same rank. The minimal polynomial makes only its own coefficients,
 and Horner's ``poly_at`` no ``Fraction`` at all. The pseudoinverse and the
 Drazin inverse find their pivot columns and rows in one elimination, and the
@@ -12,6 +14,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 import support
 from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, exact, full_rank_reduce,
-                    identity, index_of, mat_inverse, mat_mul, mat_rank, minimal_polynomial,
+                    identity, index_of, mat_inverse, mat_mul, mat_rank, mat_scale, minimal_polynomial,
                     moore_penrose, poly_at, q_polynomial, zeros)
 from geninv.cli import parse_matrix_text, write_matrix
 
@@ -85,6 +88,36 @@ def test_singular_input_raises():
             mat_inverse(a)
 
 
+def test_singular_input_is_refused_before_back_substitution(monkeypatch):
+    # the forward pass finds the rank; a singular matrix takes no back-substitution step
+    singular = (zeros(3, 3), support.EX1, RMatrix.from_rows([[1, 2], [2, 4]]),
+                support.rand_with_index(random.Random(9), 2, 3))
+    steps = []
+    original = exact._back_substitute
+
+    def counted(rows, r, *args):
+        steps.append(r)
+        return original(rows, r, *args)
+
+    monkeypatch.setattr(exact, "_back_substitute", counted)
+    for a in singular:
+        with pytest.raises(SingularMatrix):
+            mat_inverse(a)
+    assert steps == []
+    assert mat_inverse(support.EX3_P) == support.ref_inverse(support.EX3_P)
+    assert steps == [5]
+
+
+@given(support.wide_rmatrices())
+def test_wide_entries_match_reference(a):
+    assert_matches_reference(a)
+
+
+@given(support.wide_rmatrices(square=True))
+def test_wide_square_entries_match_reference(a):
+    assert_matches_reference(a)
+
+
 def big_rows(rng, m, n):
     return [[Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG)) for _ in range(n)]
             for _ in range(m)]
@@ -103,6 +136,34 @@ def big_rows(rng, m, n):
 ], ids=lambda a: f"{a.rows}x{a.cols}")
 def test_named_shapes_match_reference(a):
     assert_matches_reference(a)
+
+
+def test_integer_elimination_takes_no_gcd(monkeypatch):
+    # on integer rows each step divides exactly by the previous pivot, and the
+    # back-substitution by the row's own pivot: no row is ever cancelled
+    integer = (support.EX1, support.EX3, mat_scale(support.rand_invertible(random.Random(16), 5), 6),
+               RMatrix.from_rows([[random.Random(17 + i).randint(-BIG, BIG) for _ in range(6)]
+                                  for i in range(4)]),
+               RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [2, 4, 6], [0, 0, 7]]))
+    rational = support.rand_invertible(random.Random(18), 4)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    def eliminate(a):
+        exact._echelon([(list(row), a._den) for row in exact._rows(a)], a.cols)
+        exact._gauss_jordan([([*row, *exact._unit(i, a.rows, a._den)], a._den)
+                             for i, row in enumerate(exact._rows(a))], a.cols)
+
+    monkeypatch.setattr(exact, "gcd", counted)
+    for a in integer:
+        assert a._den == 1
+        eliminate(a)
+    assert calls == []
+    eliminate(rational)  # over a denominator, each row step cancels the row's common factor
+    assert rational._den > 1 and calls
 
 
 def test_seeded_corpus_matches_reference():
@@ -167,9 +228,9 @@ def count_eliminations(monkeypatch, run, a) -> int:
     calls = []
     original = exact._echelon
 
-    def counted(rows, width):
-        calls.append(width)
-        return original(rows, width)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     with monkeypatch.context() as patched:
         for name, module in list(sys.modules.items()):

@@ -216,21 +216,50 @@ def rational_rows(*rows):
     return RMatrix.from_rows([[Fraction(v) for v in row.split()] for row in rows])
 
 
+def assert_pivots_are_leading_minors(a):
+    """Pivot t of the elimination of A's grid of numerators, an integer matrix,
+    is that grid's leading (t+1)x(t+1) minor with its rows and columns in the
+    elimination's order, by the Fraction determinant: the elimination of an
+    integer matrix is integer-preserving (Bareiss)."""
+    a = mat_scale(a, a._den)
+    nums = exact._rows(a)
+    rank, rows, order, cols = exact._echelon([(list(row), a._den) for row in nums], a.cols)
+    assert rank == support.ref_rank(a)
+    for t in range(rank):
+        minor = [[nums[i][j] for j in cols[:t + 1]] for i in order[:t + 1]]
+        assert rows[t][0][t] == support.ref_det(minor)
+
+
+SKELETON_INPUTS = [
+    zeros(0, 3), zeros(3, 0), zeros(0, 0), zeros(3, 4),
+    rational_rows("0 1/2 0 3", "2/3 0 -1 5/7"),  # full row rank, wide
+    rational_rows("0 0", "0 -3/2", "1/3 0", "4 5"),  # full column rank, tall
+    rational_rows("0 0 0", "1/2 -1 3", "1 -2 6", "0 1/3 1", "1/2 -2/3 4"),  # tall, rank 2
+    rational_rows("0 0 1/2 1 0", "0 0 1 2 0", "0 3/4 0 0 -1"),  # wide, rank 2
+    rational_rows("5/6 -1/4", "-5/3 1/2"),  # square, rank 1
+]
+
+
 class TestSkeleton:
-    @pytest.mark.parametrize("a", [
-        zeros(0, 3), zeros(3, 0), zeros(0, 0), zeros(3, 4),
-        rational_rows("0 1/2 0 3", "2/3 0 -1 5/7"),  # full row rank, wide
-        rational_rows("0 0", "0 -3/2", "1/3 0", "4 5"),  # full column rank, tall
-        rational_rows("0 0 0", "1/2 -1 3", "1 -2 6", "0 1/3 1", "1/2 -2/3 4"),  # tall, rank 2
-        rational_rows("0 0 1/2 1 0", "0 0 1 2 0", "0 3/4 0 0 -1"),  # wide, rank 2
-        rational_rows("5/6 -1/4", "-5/3 1/2"),  # square, rank 1
-    ], ids=lambda a: f"{a.rows}x{a.cols}")
+    @pytest.mark.parametrize("a", SKELETON_INPUTS, ids=lambda a: f"{a.rows}x{a.cols}")
     def test_named_inputs(self, a):
         assert_skeleton(a)
 
     @given(rank_products())
     def test_products(self, a):
         assert_skeleton(a)
+
+    @given(support.wide_rmatrices())
+    def test_wide_entries(self, a):
+        assert_skeleton(a)
+
+    @pytest.mark.parametrize("a", SKELETON_INPUTS, ids=lambda a: f"{a.rows}x{a.cols}")
+    def test_named_pivots_are_leading_minors(self, a):
+        assert_pivots_are_leading_minors(a)
+
+    @given(rank_products())
+    def test_product_pivots_are_leading_minors(self, a):
+        assert_pivots_are_leading_minors(a)
 
 
 class TestBlocks:
