@@ -24,13 +24,12 @@ module takes an lcm.
 Rank, inverse, the skeleton (pivot columns and rows) and the full-rank
 reduction share one elimination, ``_echelon``, on rows of integer numerators
 over one denominator; the inverse and the reduction then share one
-back-substitution among the pivot rows, ``_back_substitute``. On an integer
-matrix both are fraction-free (Bareiss): a row step divides exactly by a
-pivot, so every entry stays a minor of the matrix and no gcd is taken. Over a
-denominator den > 1 a k x k minor of the numerators is den^k times A's, so
-there each row step is ``_eliminate``'s: an integer row step, then one gcd to
-cancel the row's common factor. ``_annihilator``, behind ``square``'s minimal
-polynomial, uses it too.
+back-substitution among the pivot rows, ``_back_substitute``. Both are
+fraction-free (Bareiss): a row step divides exactly by a pivot, so every
+entry stays a minor of the numerator grid and no gcd is taken. The only
+gcd-normalised row step is ``_eliminate``'s, behind ``_annihilator`` and so
+``square``'s minimal polynomial: an integer row step, then one gcd to cancel
+the row's common factor.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -373,26 +372,23 @@ def _annihilator(x: RMatrix, a: RMatrix) -> list[int]:
 
 
 def _echelon(rows, width: int):
-    """Forward elimination of (numerators, denominator) rows, each numerator
-    row a list and all over one denominator: (rank, echelon rows, order, cols).
+    """Fraction-free (Bareiss) forward elimination of (numerators, denominator)
+    rows, each numerator row a list and all over one denominator den:
+    (rank, echelon rows, order, cols).
 
     Step t's pivot is the first nonzero entry, row-major, of rows t.. and
     columns t..width-1; its row and column are swapped into place t, and
-    order[t] and cols[t] are the input row and column now at t. Row t keeps the
-    value of input row order[t] less multiples of the rows above it.
-
-    Integer rows (denominator 1) are eliminated fraction-free (Bareiss, Math.
-    Comp. 22, 1968): with p the pivot and prev the one before it (1 at step 0),
-    every row below becomes (p*row - row[t]*pivot row) // prev over p, which
-    leaves a zero row as it is. The division is exact: each entry is then a minor of the input with its rows
-    and columns in that order, pivot t its leading (t+1)x(t+1) minor, and no
-    gcd is taken. Over a denominator den > 1 a k x k minor of the numerators
-    is den^k times A's, which is dead weight where A's minors have small
-    denominators (Gram blocks of P and Q, similarity transforms); there each
-    row step is ``_eliminate``'s, which cancels the row's common factor.
+    order[t] and cols[t] are the input row and column now at t. With p that
+    pivot and prev the one before it (1 at step 0), every row below becomes
+    (p*row - row[t]*pivot row) // prev over p*den; a zero row, or one with
+    row[t] == 0 when p == prev, is left as it is. The division is exact
+    (Bareiss, Math. Comp. 22, 1968): each entry is then a minor of the
+    numerator grid with its rows and columns in that order, and pivot t is its
+    leading (t+1)x(t+1) minor. So no gcd is taken, and row t keeps the value of
+    input row order[t] less multiples of the rows above it.
     """
     m, order, cols = len(rows), list(range(len(rows))), list(range(width))
-    whole, prev = _whole(rows), 1
+    den, prev = rows[0][1] if rows else 1, 1
     for t in range(min(m, width)):
         found = next(((i, j) for i in range(t, m) for j in range(t, width)
                       if rows[i][0][j]), None)
@@ -410,34 +406,20 @@ def _echelon(rows, width: int):
         for i in range(t + 1, m):
             nums = rows[i][0]
             f = nums[t]
-            if f and whole:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(nums, pnums)], p
-            elif whole and p != prev and any(nums):
-                rows[i] = [p * x // prev for x in nums], p
-            elif f:
-                rows[i] = _eliminate(rows[i], rows[t], t)
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(nums, pnums)], p * den
+            elif p != prev and any(nums):
+                rows[i] = [p * x // prev for x in nums], p * den
         prev = p
     return min(m, width), rows, order, cols
 
 
-def _whole(rows) -> bool:
-    """Whether rows all over one denominator are integer rows, denominator 1."""
-    return not rows or rows[0][1] == 1
-
-
-def _back_substitute(rows, r: int, whole: bool):
+def _back_substitute(rows, r: int):
     """``_echelon``'s rows, each of its first r rows, the pivot rows, cleared
-    at the later pivot columns; read each as a ratio to its pivot. Integer
-    rows (whole) are cleared fraction-free: with d the last pivot, row t
-    becomes (d*row_t - sum over s > t of row_t[s]*row_s) // row_t[t] for t =
-    r-2 down to 0, exact by Cramer's rule, so every pivot becomes d and every
-    entry an r x r minor. Other rows are cleared by ``_eliminate``."""
-    if not whole:
-        for t in range(r - 1, 0, -1):
-            for s in range(t):
-                if rows[s][0][t]:
-                    rows[s] = _eliminate(rows[s], rows[t], t)
-        return rows
+    at the later pivot columns; read each as a ratio to its pivot. With d the
+    last pivot, row t becomes (d*row_t - sum over s > t of row_t[s]*row_s) //
+    row_t[t] for t = r-2 down to 0, exact by Cramer's rule, so every pivot
+    becomes d, every entry an r x r minor, and no gcd is taken."""
     d = rows[r - 1][0][r - 1] if r else 1
     for t in range(r - 2, -1, -1):
         nums = rows[t][0]
@@ -452,22 +434,21 @@ def _back_substitute(rows, r: int, whole: bool):
 
 def _gauss_jordan(rows, width: int):
     """``_echelon``'s (rank, rows, cols), the pivot rows then back-substituted."""
-    whole = _whole(rows)
     r, rows, _, cols = _echelon(rows, width)
-    return r, _back_substitute(rows, r, whole), cols
+    return r, _back_substitute(rows, r), cols
 
 
 def _solve(rows) -> RMatrix:
     """A^-1 * B from the (numerators, denominator) rows of [A | B], A n x n,
     all over one denominator; a singular A is refused before any
     back-substitution."""
-    n, whole = len(rows), _whole(rows)
+    n = len(rows)
     width = len(rows[0][0]) - n if rows else 0
     rank, rows, _, cols = _echelon(rows, n)
     if rank < n:
         raise SingularMatrix(f"matrix of size {n} has rank below {n}")
     out = [()] * n
-    for t, (nums, _) in enumerate(_back_substitute(rows, n, whole)):
+    for t, (nums, _) in enumerate(_back_substitute(rows, n)):
         out[cols[t]] = (nums[n:], nums[t])  # row t of (A*Pi)^-1 * B is row cols[t] of A^-1 * B
     return _over_lcm(n, width, out)
 

@@ -2,10 +2,10 @@
 the minimal polynomial run on integer rows; each must equal a plain Fraction
 loop from tests/support.py exactly: the same rank, the same inverse, the same
 P and Q, the same minimal polynomial, also on 64-bit numerators over a
-denominator of 1 or up to 32 bits. The elimination of an integer matrix is
-fraction-free, with no gcd, and a singular inverse stops before its
-back-substitution. A second reduction, from A's rows and columns reversed, must pass ``factor_with``
-with the same rank. The minimal polynomial makes only its own coefficients,
+denominator of 1 or up to 32 bits. The elimination is fraction-free, with
+no gcd, and a singular inverse stops before its back-substitution. A second
+reduction, from A's rows and columns reversed, must pass ``factor_with`` with
+the same rank. The minimal polynomial makes only its own coefficients,
 and Horner's ``poly_at`` no ``Fraction`` at all. The pseudoinverse and the
 Drazin inverse find their pivot columns and rows in one elimination, and the
 full-rank reduction is one elimination too."""
@@ -95,9 +95,9 @@ def test_singular_input_is_refused_before_back_substitution(monkeypatch):
     steps = []
     original = exact._back_substitute
 
-    def counted(rows, r, *args):
+    def counted(rows, r):
         steps.append(r)
-        return original(rows, r, *args)
+        return original(rows, r)
 
     monkeypatch.setattr(exact, "_back_substitute", counted)
     for a in singular:
@@ -138,32 +138,29 @@ def test_named_shapes_match_reference(a):
     assert_matches_reference(a)
 
 
-def test_integer_elimination_takes_no_gcd(monkeypatch):
-    # on integer rows each step divides exactly by the previous pivot, and the
-    # back-substitution by the row's own pivot: no row is ever cancelled
-    integer = (support.EX1, support.EX3, mat_scale(support.rand_invertible(random.Random(16), 5), 6),
-               RMatrix.from_rows([[random.Random(17 + i).randint(-BIG, BIG) for _ in range(6)]
-                                  for i in range(4)]),
-               RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [2, 4, 6], [0, 0, 7]]))
-    rational = support.rand_invertible(random.Random(18), 4)
+def test_elimination_takes_no_gcd(monkeypatch):
+    # each step divides exactly by the previous pivot, and the back-substitution
+    # by the row's own pivot: no row is ever cancelled, over any denominator
+    rng = random.Random(17)
+    inputs = (support.EX1, support.EX3, mat_scale(support.rand_invertible(random.Random(16), 5), 6),
+              RMatrix.from_rows([[rng.randint(-BIG, BIG) for _ in range(6)] for _ in range(4)]),
+              RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [2, 4, 6], [0, 0, 7]]),
+              support.rand_invertible(random.Random(18), 4),
+              RMatrix.from_rows(big_rows(random.Random(19), 4, 5)))
+    assert [a._den > 1 for a in inputs] == [False] * 5 + [True] * 2
+    assert mat_rank(inputs[3]) == 4
     calls = []
 
     def counted(*args):
         calls.append(args)
         return gcd(*args)
 
-    def eliminate(a):
+    monkeypatch.setattr(exact, "gcd", counted)
+    for a in inputs:
         exact._echelon([(list(row), a._den) for row in exact._rows(a)], a.cols)
         exact._gauss_jordan([([*row, *exact._unit(i, a.rows, a._den)], a._den)
                              for i, row in enumerate(exact._rows(a))], a.cols)
-
-    monkeypatch.setattr(exact, "gcd", counted)
-    for a in integer:
-        assert a._den == 1
-        eliminate(a)
     assert calls == []
-    eliminate(rational)  # over a denominator, each row step cancels the row's common factor
-    assert rational._den > 1 and calls
 
 
 def test_seeded_corpus_matches_reference():

@@ -217,11 +217,10 @@ def rational_rows(*rows):
 
 
 def assert_pivots_are_leading_minors(a):
-    """Pivot t of the elimination of A's grid of numerators, an integer matrix,
-    is that grid's leading (t+1)x(t+1) minor with its rows and columns in the
-    elimination's order, by the Fraction determinant: the elimination of an
-    integer matrix is integer-preserving (Bareiss)."""
-    a = mat_scale(a, a._den)
+    """Pivot t of the elimination of A's grid of numerators is that grid's
+    leading (t+1)x(t+1) minor with its rows and columns in the elimination's
+    order, by the Fraction determinant: the elimination is integer-preserving
+    (Bareiss)."""
     nums = exact._rows(a)
     rank, rows, order, cols = exact._echelon([(list(row), a._den) for row in nums], a.cols)
     assert rank == support.ref_rank(a)
