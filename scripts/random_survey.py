@@ -9,19 +9,22 @@ almost never rank-deficient, and half low-rank products L*R with m != n and
 rank below min(m, n). The rest are square: half of them low-rank products
 L*R, which have index 1 in general, and half S*diag(N_k, M)*S^-1 with the
 k x k nilpotent Jordan block N_k, k from 1 to 3, whose index is exactly k.
-On every square draw the minimal polynomial must annihilate A and have the
-rank sequence's index as its lowest nonzero degree."""
+On every square draw the minimal polynomial mu must annihilate A, have the
+rank sequence's index as its lowest nonzero degree, and be of least degree:
+vec(I), vec(A), ..., vec(A^(deg mu - 1)) have rank deg mu, which a
+higher-degree annihilator fails."""
 
 import argparse
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from geninv import (RMatrix, block_compose, check, drazin_inverse, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
                     g13_inverse, g134_inverse, g14_inverse, group_inverse_block,
-                    group_inverse_poly, index_of, is_ep, mat_inverse, mat_mul, mat_rank,
+                    group_inverse_poly, identity, index_of, is_ep, mat_inverse, mat_mul, mat_rank,
                     minimal_polynomial, moore_penrose, poly_at, verify_factorization, zeros)
 
 G_INVERSES = (("{1}", g1_inverse), ("{1,2}", g12_inverse), ("{1,3}", g13_inverse),
@@ -53,6 +56,15 @@ def with_index(rng, n, k):
     core = block_compose(jordan, zeros(k, n - k), zeros(n - k, k), rand_regular(rng, n - k))
     s = rand_regular(rng, n)
     return mat_mul(mat_mul(s, core), mat_inverse(s))
+
+
+def powers_stacked(a, count):
+    """The count x n^2 matrix whose row j is vec(A^j), j = 0..count-1."""
+    rows, power = [], identity(a.rows)
+    for _ in range(count):
+        rows.append(list(chain.from_iterable(power.entries)))
+        power = mat_mul(power, a)
+    return RMatrix(count, a.rows * a.rows, tuple(map(tuple, rows)))
 
 
 def draw(rng, max_dim):
@@ -108,6 +120,7 @@ def main():
             mu = minimal_polynomial(a)
             assert mu.index == k
             assert poly_at(mu.coeffs, a) == zeros(a.rows, a.rows)
+            assert mat_rank(powers_stacked(a, mu.degree)) == mu.degree
             drazin = drazin_inverse(a)
             assert "Drazin" in check(a, drazin).classes
             if k <= 1:

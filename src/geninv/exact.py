@@ -21,15 +21,14 @@ elimination leaves, ``block_compose``'s blocks) is put over the lcm of theirs
 by one builder, ``_over_lcm``: a sum adds where those concatenate. No other
 module takes an lcm.
 
-Rank, inverse, the skeleton (pivot columns and rows) and the full-rank
-reduction share one elimination, ``_echelon``, on rows of integer numerators
-over one denominator; the inverse and the reduction then share one
-back-substitution among the pivot rows, ``_back_substitute``. Both are
-fraction-free (Bareiss): a row step divides exactly by a pivot, so every
-entry stays a minor of the numerator grid and no gcd is taken. The only
-gcd-normalised row step is ``_eliminate``'s, behind ``_annihilator`` and so
-``square``'s minimal polynomial: an integer row step, then one gcd to cancel
-the row's common factor.
+Rank, inverse, the skeleton (pivot columns and rows), the full-rank
+reduction and the annihilator behind ``square``'s minimal polynomial share
+one elimination, ``_echelon``, on plain rows of integers; the inverse and
+the reduction then share one back-substitution among the pivot rows,
+``_back_substitute``. Both are fraction-free (Bareiss): a row step divides
+exactly by a pivot, so every entry stays a minor of the integer grid and no
+gcd is taken. A row's denominator is fixed by its position, so no row
+carries one.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -314,23 +313,31 @@ def mat_pow(a: RMatrix, k: int) -> RMatrix:
 
 
 def mat_inverse(a: RMatrix) -> RMatrix:
-    """Exact inverse: forward elimination of [A | I], then back-substitution."""
+    """Exact inverse: forward elimination of [A | I], a singular A refused
+    before any back-substitution, then the back-substitution, after which
+    pivot row t is d times [e_t | row cols[t] of A^-1], d the last pivot."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices are invertible, got {a.rows}x{a.cols}")
-    n, den = a.rows, a._den
-    return _solve([([*row, *_unit(i, n, den)], den) for i, row in enumerate(_rows(a))])
+    n = a.rows
+    rank, rows, _, cols = _echelon(_augmented(a), n)
+    if rank < n:
+        raise SingularMatrix(f"matrix of size {n} has rank below {n}")
+    out = [()] * n
+    for t, row in enumerate(_back_substitute(rows, n)):
+        out[cols[t]] = row[n:]  # row t of (A*Pi)^-1 is row cols[t] of A^-1
+    return _make(n, n, [x for row in out for x in row], rows[n - 1][n - 1] if n else 1)
 
 
 def mat_rank(a: RMatrix) -> int:
     """Exact rank by forward elimination."""
-    return _echelon([(list(row), a._den) for row in _rows(a)], a.cols)[0]
+    return _echelon([list(row) for row in _rows(a)], a.cols)[0]
 
 
 def _skeleton(a: RMatrix) -> tuple[RMatrix, RMatrix]:
     """(C, R) = (A[:,J], A[I,:]) for the pivot rows I and columns J of one elimination
     of A: len(I) == len(J) == rank(A), A[I,J] is regular and A == C*A[I,J]^-1*R."""
     rows = _rows(a)
-    r, _, order, cols = _echelon([(list(row), a._den) for row in rows], a.cols)
+    r, _, order, cols = _echelon([list(row) for row in rows], a.cols)
     return (_make(a.rows, r, [row[j] for row in rows for j in cols[:r]], a._den),
             _make(r, a.cols, [x for i in order[:r] for x in rows[i]], a._den))
 
@@ -340,58 +347,52 @@ def _unit(i: int, n: int, x: int = 1) -> tuple[int, ...]:
     return (0,) * i + (x,) + (0,) * (n - i - 1)
 
 
-def _eliminate(row, prow, c: int):
-    """row - (row[c]/prow[c]) * prow on (numerators, denominator) rows, common factor cancelled."""
-    (nums, den), pnums = row, prow[0]
-    p, f = pnums[c], nums[c]
-    nums = [p * x - f * y for x, y in zip(nums, pnums)]
-    den *= p
-    g = gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return [x // g for x in nums], den // g
+def _augmented(a: RMatrix) -> list[list[int]]:
+    """The integer rows of [A | I_m], both halves over A's denominator."""
+    m, den = a.rows, a._den
+    return [[*row, *_unit(i, m, den)] for i, row in enumerate(_rows(a))]
 
 
-def _annihilator(x: RMatrix, a: RMatrix) -> list[int]:
+def _annihilator(x: RMatrix, a: RMatrix, degree: int) -> list[int]:
     """The coprime integer coefficients, from degree 0, of the least-degree h
-    with x*h(A) = 0, up to sign: the first dependence among the rows
-    [vec(x*A^j) | e_j], each reduced by ``_eliminate`` in turn; deg h <= n."""
-    n, width = a.rows, len(x._nums)
-    basis = []  # (pivot column, reduced row), in the order they were added
-    for degree in range(n + 1):
-        row = [*x._nums, *_unit(degree, n + 1, x._den)], x._den
-        for pivot, brow in basis:
-            if row[0][pivot]:
-                row = _eliminate(row, brow, pivot)
-        pivot = next((j for j in range(width) if row[0][j]), None)
-        if pivot is None:
-            g = gcd(*row[0][width:])  # the later units' places are 0
-            return [c // g for c in row[0][width:width + degree + 1]]
-        basis.append((pivot, row))
-        x = mat_mul(x, a)  # through the module global, so a tracer sees it
+    with x*h(A) = 0, up to sign, for deg h <= degree: one ``_echelon`` of the
+    rows [vec(x*A^j) | e_j], each over its own denominator, for j = 0..degree
+    or up to the first x*A^j = 0. The rows before the first dependent one are
+    their own pivot rows, unswapped, so that row is row rank, h on its right."""
+    width, rows = len(x._nums), []
+    for j in range(degree + 1):
+        if j:
+            x = mat_mul(x, a)  # through the module global, so a tracer sees it
+        rows.append([*x._nums, *_unit(j, degree + 1, x._den)])
+        if not any(x._nums):
+            break
+    rank, rows, _, _ = _echelon(rows, width)
+    h = rows[rank][width:width + rank + 1]
+    g = gcd(*h)
+    return [c // g for c in h]
 
 
 def _echelon(rows, width: int):
-    """Fraction-free (Bareiss) forward elimination of (numerators, denominator)
-    rows, each numerator row a list and all over one denominator den:
-    (rank, echelon rows, order, cols).
+    """Fraction-free (Bareiss) forward elimination of integer rows, each a
+    list, on their first width columns: (rank, echelon rows, order, cols).
 
     Step t's pivot is the first nonzero entry, row-major, of rows t.. and
     columns t..width-1; its row and column are swapped into place t, and
     order[t] and cols[t] are the input row and column now at t. With p that
     pivot and prev the one before it (1 at step 0), every row below becomes
-    (p*row - row[t]*pivot row) // prev over p*den; a zero row, or one with
-    row[t] == 0 when p == prev, is left as it is. The division is exact
-    (Bareiss, Math. Comp. 22, 1968): each entry is then a minor of the
-    numerator grid with its rows and columns in that order, and pivot t is its
-    leading (t+1)x(t+1) minor. So no gcd is taken, and row t keeps the value of
-    input row order[t] less multiples of the rows above it.
+    (p*row - row[t]*pivot row) // prev; a zero row, or one with row[t] == 0
+    when p == prev, is left as it is. The division is exact (Bareiss, Math.
+    Comp. 22, 1968): each entry is then a minor of the input grid with its rows
+    and columns in that order, and pivot t is its leading (t+1)x(t+1) minor.
+    So no gcd is taken, row t keeps the value of input row order[t] less
+    multiples of the rows above it, and a row below t is p times its value.
+    Rows all over one denominator den are read over den, and a row below t
+    over den*p.
     """
     m, order, cols = len(rows), list(range(len(rows))), list(range(width))
-    den, prev = rows[0][1] if rows else 1, 1
+    prev = 1
     for t in range(min(m, width)):
-        found = next(((i, j) for i in range(t, m) for j in range(t, width)
-                      if rows[i][0][j]), None)
+        found = next(((i, j) for i in range(t, m) for j in range(t, width) if rows[i][j]), None)
         if found is None:
             return t, rows, order, cols
         i, j = found
@@ -399,17 +400,17 @@ def _echelon(rows, width: int):
         order[t], order[i] = order[i], order[t]
         if j != t:
             cols[t], cols[j] = cols[j], cols[t]
-            for nums, _ in rows:
-                nums[t], nums[j] = nums[j], nums[t]
-        pnums = rows[t][0]
-        p = pnums[t]
+            for row in rows:
+                row[t], row[j] = row[j], row[t]
+        prow = rows[t]
+        p = prow[t]
         for i in range(t + 1, m):
-            nums = rows[i][0]
-            f = nums[t]
+            row = rows[i]
+            f = row[t]
             if f:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(nums, pnums)], p * den
-            elif p != prev and any(nums):
-                rows[i] = [p * x // prev for x in nums], p * den
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev and any(row):
+                rows[i] = [p * x // prev for x in row]
         prev = p
     return min(m, width), rows, order, cols
 
@@ -420,37 +421,24 @@ def _back_substitute(rows, r: int):
     last pivot, row t becomes (d*row_t - sum over s > t of row_t[s]*row_s) //
     row_t[t] for t = r-2 down to 0, exact by Cramer's rule, so every pivot
     becomes d, every entry an r x r minor, and no gcd is taken."""
-    d = rows[r - 1][0][r - 1] if r else 1
+    d = rows[r - 1][r - 1] if r else 1
     for t in range(r - 2, -1, -1):
-        nums = rows[t][0]
-        p, acc = nums[t], [d * x for x in nums[r:]]
+        row = rows[t]
+        p, acc = row[t], [d * x for x in row[r:]]
         for s in range(t + 1, r):
-            f = nums[s]
+            f = row[s]
             if f:
-                acc = [x - f * y for x, y in zip(acc, rows[s][0][r:])]
-        rows[t] = [*_unit(t, r, d), *[x // p for x in acc]], d
+                acc = [x - f * y for x, y in zip(acc, rows[s][r:])]
+        rows[t] = [*_unit(t, r, d), *[x // p for x in acc]]
     return rows
 
 
-def _gauss_jordan(rows, width: int):
-    """``_echelon``'s (rank, rows, cols), the pivot rows then back-substituted."""
-    r, rows, _, cols = _echelon(rows, width)
+def _gauss_jordan(a: RMatrix):
+    """(rank, rows, cols) of [A | I_m]'s elimination on A's columns, the pivot
+    rows then back-substituted: each pivot row is read over the last pivot d
+    (1 at rank 0), each row below over A's denominator times d."""
+    r, rows, _, cols = _echelon(_augmented(a), a.cols)
     return r, _back_substitute(rows, r), cols
-
-
-def _solve(rows) -> RMatrix:
-    """A^-1 * B from the (numerators, denominator) rows of [A | B], A n x n,
-    all over one denominator; a singular A is refused before any
-    back-substitution."""
-    n = len(rows)
-    width = len(rows[0][0]) - n if rows else 0
-    rank, rows, _, cols = _echelon(rows, n)
-    if rank < n:
-        raise SingularMatrix(f"matrix of size {n} has rank below {n}")
-    out = [()] * n
-    for t, (nums, _) in enumerate(_back_substitute(rows, n)):
-        out[cols[t]] = (nums[n:], nums[t])  # row t of (A*Pi)^-1 * B is row cols[t] of A^-1 * B
-    return _over_lcm(n, width, out)
 
 
 def block_compose(x0: RMatrix, x1: RMatrix, x2: RMatrix, x3: RMatrix) -> RMatrix:

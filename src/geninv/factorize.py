@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidFactorization
-from .exact import (RMatrix, _gauss_jordan, _over_lcm, _rows, _unit, mat_mul, mat_rank,
-                    partial_identity)
+from .exact import RMatrix, _gauss_jordan, _over_lcm, _unit, mat_mul, mat_rank, partial_identity
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,14 @@ def full_rank_reduce(a: RMatrix) -> FactoredMatrix:
     """Q = [[U^-1, 0], [-D*U^-1, I]]*Pr and P = Pc*[[I, -U^-1*B], [0, I]] for
     Pr*A*Pc = [[U, B], [D, E]]: Q*A*P = E_r as E = D*U^-1*B at rank r. One
     Gauss-Jordan pass over [A | I_m] gives Q as its right half, pivot rows over
-    their pivots, and P's row cols[t] from pivot row t, columns r..n-1 negated."""
-    m, n, den = a.rows, a.cols, a._den
-    r, rows, cols = _gauss_jordan([([*row, *_unit(i, m, den)], den)
-                                   for i, row in enumerate(_rows(a))], n)
-    q = _over_lcm(m, m, [(nums[n:], nums[t] if t < r else d) for t, (nums, d) in enumerate(rows)])
-    parts = [([*nums[:r], *[-x for x in nums[r:n]]], nums[t])
-             for t, (nums, _) in enumerate(rows[:r])] + [(_unit(t, n), 1) for t in range(r, n)]
+    the last pivot d and the rest over A's denominator times d, and P's row
+    cols[t] from pivot row t, columns r..n-1 negated."""
+    m, n = a.rows, a.cols
+    r, rows, cols = _gauss_jordan(a)
+    d = rows[r - 1][r - 1] if r else 1
+    q = _over_lcm(m, m, [(row[n:], d if t < r else a._den * d) for t, row in enumerate(rows)])
+    parts = [([*row[:r], *[-x for x in row[r:n]]], d)
+             for row in rows[:r]] + [(_unit(t, n), 1) for t in range(r, n)]
     p = dict(zip(cols, parts))  # row cols[t] of P is row t of [[I, -U^-1*B], [0, I]]
     return FactoredMatrix(a=a, p=_over_lcm(n, n, [p[j] for j in range(n)]), q=q, r=r)
 

@@ -18,6 +18,8 @@ The minimal polynomial is the lcm of the unit rows' annihilators (Gantmacher,
 *The Theory of Matrices*, vol. 1; Augot & Camion, Linear Algebra Appl. 260,
 1997): from p = 1, for each unit row e_i while deg p < n, p becomes
 p*h = lcm(p, mu of e_i) for the annihilator h of e_i*p(A), ``exact._annihilator``.
+As p divides mu, deg h <= n - deg p bounds its Krylov rows, and once p = mu
+every later e_i*p(A) is 0 and costs no Krylov product.
 
 The q-polynomial satisfies mu(x) = c_k * x^k * (1 - x*q(x)), which the tests
 assert rather than each call, and makes the group inverse a polynomial in A:
@@ -116,7 +118,7 @@ def minimal_polynomial(a: RMatrix) -> MinimalPolynomial:
     for i in range(n):
         if len(p) > n:
             break
-        h = _annihilator(_horner(p, _make(1, n, _unit(i, n), 1), a), a)
+        h = _annihilator(_horner(p, _make(1, n, _unit(i, n), 1), a), a, n + 1 - len(p))
         p = [sum(p[j] * h[d - j] for j in range(len(p)) if 0 <= d - j < len(h))
              for d in range(len(p) + len(h) - 1)]  # p*h = lcm(p, mu of e_i)
     return MinimalPolynomial(tuple([Fraction(c, p[-1]) for c in p]))

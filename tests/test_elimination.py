@@ -7,8 +7,9 @@ no gcd, and a singular inverse stops before its back-substitution. A second
 reduction, from A's rows and columns reversed, must pass ``factor_with`` with
 the same rank. The minimal polynomial makes only its own coefficients,
 and Horner's ``poly_at`` no ``Fraction`` at all. The pseudoinverse and the
-Drazin inverse find their pivot columns and rows in one elimination, and the
-full-rank reduction is one elimination too."""
+Drazin inverse find their pivot columns and rows in one elimination, the
+full-rank reduction is one elimination too, and the minimal polynomial one
+per unit row it visits, with no Krylov product once e_i*p(A) = 0."""
 
 import random
 import sys
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import support
 from geninv import (RMatrix, SingularMatrix, check, drazin_inverse, exact, full_rank_reduce,
                     identity, index_of, mat_inverse, mat_mul, mat_rank, mat_scale, minimal_polynomial,
-                    moore_penrose, poly_at, q_polynomial, zeros)
+                    moore_penrose, poly_at, q_polynomial, square, zeros)
 from geninv.cli import parse_matrix_text, write_matrix
 
 BIG = 1 << 200
@@ -149,6 +150,13 @@ def test_elimination_takes_no_gcd(monkeypatch):
               RMatrix.from_rows(big_rows(random.Random(19), 4, 5)))
     assert [a._den > 1 for a in inputs] == [False] * 5 + [True] * 2
     assert mat_rank(inputs[3]) == 4
+    # the annihilator's Krylov rows [vec(e_1*A^j) | e_j], each over its own denominator
+    a, krylov = support.rand_matrix(random.Random(20), 5, 5), []
+    x = exact._make(1, 5, exact._unit(0, 5), 1)
+    for j in range(6):
+        krylov.append([*x._nums, *exact._unit(j, 6, x._den)])
+        x = mat_mul(x, a)
+    assert a._den > 1 and len({row[5 + j] for j, row in enumerate(krylov)}) > 1
     calls = []
 
     def counted(*args):
@@ -157,9 +165,9 @@ def test_elimination_takes_no_gcd(monkeypatch):
 
     monkeypatch.setattr(exact, "gcd", counted)
     for a in inputs:
-        exact._echelon([(list(row), a._den) for row in exact._rows(a)], a.cols)
-        exact._gauss_jordan([([*row, *exact._unit(i, a.rows, a._den)], a._den)
-                             for i, row in enumerate(exact._rows(a))], a.cols)
+        exact._echelon([list(row) for row in exact._rows(a)], a.cols)
+        exact._gauss_jordan(a)
+    assert exact._echelon(krylov, 5)[0] == 5
     assert calls == []
 
 
@@ -270,6 +278,52 @@ def test_drazin_inverse_eliminates_k_plus_3_times(k, a, monkeypatch):
     # columns and rows of A^k, and one inverts R*A*C
     assert index_of(a) == k
     assert count_eliminations(monkeypatch, drazin_inverse, a) == k + 3
+
+
+def krylov_visits(monkeypatch) -> list:
+    """For each ``_annihilator`` call until ``monkeypatch.undo()``: whether its
+    x is zero, and how many Krylov products x*A^j it formed."""
+    visits, products = [], []
+    real_mul, real_annihilator = exact.mat_mul, square._annihilator
+
+    def mul(*args):
+        products.append(args)
+        return real_mul(*args)
+
+    def annihilator(x, *args):
+        before = len(products)
+        h = real_annihilator(x, *args)
+        visits.append((not any(x._nums), len(products) - before))
+        return h
+
+    monkeypatch.setattr(exact, "mat_mul", mul)  # square's Horner products go by its own name
+    monkeypatch.setattr(square, "_annihilator", annihilator)
+    return visits
+
+
+def companion(coeffs):
+    """The companion matrix of the monic x^n + coeffs[n-1]*x^(n-1) + ... + coeffs[0]:
+    e_i*C = e_(i+1), e_(n-1)*C = -(coeffs[0]*e_0 + ... ), so e_0 is a cyclic vector."""
+    n = len(coeffs)
+    return RMatrix.from_rows([[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+                             + [[-c for c in coeffs]])
+
+
+@pytest.mark.parametrize("a, mu, visited, zero_rows", [
+    (companion((-7, 1, 0, -2, 0)), (-7, 1, 0, -2, 0, 1), 1, 0),
+    (RMatrix.from_rows([[0, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 1, 0],
+                        [0, 0, 0, 0, 0], [0, 0, 0, 0, 5]]), (0, 0, -5, 1), 5, 3),
+], ids=("companion", "derogatory"))
+def test_minimal_polynomial_eliminates_once_per_unit_row(a, mu, visited, zero_rows, monkeypatch):
+    # one elimination per unit row visited: the first unit row of a companion
+    # matrix is cyclic, so its annihilator is mu; on diag(J_2(0), J_2(0), 5)
+    # deg mu < n, so every unit row is visited, and e_i*mu(A) = 0 for three of
+    # them, which form no Krylov product
+    visits = krylov_visits(monkeypatch)
+    assert count_eliminations(monkeypatch, minimal_polynomial, a) == visited == len(visits)
+    assert [products for zero, products in visits if zero] == [0] * zero_rows
+    monkeypatch.undo()
+    assert minimal_polynomial(a).coeffs == tuple(map(Fraction, mu))
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",

@@ -201,8 +201,7 @@ def assert_skeleton(a):
     and J = cols[:r] of A's elimination; |I| = |J| = rank(A), A[I,J] is regular and
     C*A[I,J]^-1*R == A, the rank and the inverse taken from the Fraction oracles."""
     c, r = exact._skeleton(a)
-    rank, _, order, cols = exact._echelon([(list(row), a._den) for row in exact._rows(a)],
-                                          a.cols)
+    rank, _, order, cols = exact._echelon([list(row) for row in exact._rows(a)], a.cols)
     pivot_rows, pivot_cols, grid = order[:rank], cols[:rank], a.entries
     assert c == RMatrix(a.rows, rank, tuple(tuple(row[j] for j in pivot_cols) for row in grid))
     assert r == RMatrix(rank, a.cols, tuple(grid[i] for i in pivot_rows))
@@ -222,11 +221,11 @@ def assert_pivots_are_leading_minors(a):
     order, by the Fraction determinant: the elimination is integer-preserving
     (Bareiss)."""
     nums = exact._rows(a)
-    rank, rows, order, cols = exact._echelon([(list(row), a._den) for row in nums], a.cols)
+    rank, rows, order, cols = exact._echelon([list(row) for row in nums], a.cols)
     assert rank == support.ref_rank(a)
     for t in range(rank):
         minor = [[nums[i][j] for j in cols[:t + 1]] for i in order[:t + 1]]
-        assert rows[t][0][t] == support.ref_det(minor)
+        assert rows[t][t] == support.ref_det(minor)
 
 
 SKELETON_INPUTS = [

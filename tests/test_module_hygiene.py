@@ -61,9 +61,9 @@ def test_only_exact_runs_the_elimination():
 
 
 def test_only_exact_steps_the_rows():
-    # the (numerators, denominator) rows and their integer step are exact's
-    # alone: the minimal polynomial's scan runs there too
-    assert modules_naming("_eliminate") == {"exact.py"}
+    # the integer rows and their steps are exact's alone: no other module
+    # back-substitutes the elimination's rows itself
+    assert modules_naming("_back_substitute") == {"exact.py"}
 
 
 REIMPORT = """
