@@ -12,7 +12,9 @@ k x k nilpotent Jordan block N_k, k from 1 to 3, whose index is exactly k.
 On every square draw the minimal polynomial mu must annihilate A, have the
 rank sequence's index as its lowest nonzero degree, and be of least degree:
 vec(I), vec(A), ..., vec(A^(deg mu - 1)) have rank deg mu, which a
-higher-degree annihilator fails."""
+higher-degree annihilator fails; and ``check``'s sixth equation, for the
+pseudoinverse and the Drazin inverse, must equal A^k*X*A == A^k with A^k
+from ``mat_pow``."""
 
 import argparse
 import random
@@ -24,8 +26,9 @@ from itertools import chain
 from geninv import (RMatrix, block_compose, check, drazin_inverse, full_rank_reduce,
                     g1_inverse, g12_inverse, g123_inverse, g124_inverse,
                     g13_inverse, g134_inverse, g14_inverse, group_inverse_block,
-                    group_inverse_poly, identity, index_of, is_ep, mat_inverse, mat_mul, mat_rank,
-                    minimal_polynomial, moore_penrose, poly_at, verify_factorization, zeros)
+                    group_inverse_poly, identity, index_of, is_ep, mat_inverse, mat_mul,
+                    mat_pow, mat_rank, minimal_polynomial, moore_penrose, poly_at,
+                    verify_factorization, zeros)
 
 G_INVERSES = (("{1}", g1_inverse), ("{1,2}", g12_inverse), ("{1,3}", g13_inverse),
               ("{1,2,3}", g123_inverse), ("{1,4}", g14_inverse),
@@ -121,8 +124,12 @@ def main():
             assert mu.index == k
             assert poly_at(mu.coeffs, a) == zeros(a.rows, a.rows)
             assert mat_rank(powers_stacked(a, mu.degree)) == mu.degree
+            ak = mat_pow(a, k)  # check's eq6 must be A^k*X*A = A^k as defined
+            assert rep.eq6 == (mat_mul(mat_mul(ak, pinv), a) == ak)
             drazin = drazin_inverse(a)
-            assert "Drazin" in check(a, drazin).classes
+            drep = check(a, drazin)
+            assert "Drazin" in drep.classes
+            assert drep.eq6 == (mat_mul(mat_mul(ak, drazin), a) == ak)
             if k <= 1:
                 assert group_inverse_poly(a) == group_inverse_block(a)
             ep = is_ep(a)

@@ -5,6 +5,11 @@ A*X and of X*A, and for square A additionally A*X = X*A and A^k*X*A = A^k at
 k = index of A. The report also carries the inverse-class labels implied by
 the satisfied equations. A*X and X*A are formed once each, and the first two
 equations go through the smaller of them, which gives the same answers.
+
+The sixth equation is tested as R*X*A = R for the pivot rows R of A^k that
+the rank sequence keeps: A^k = C*U^-1*R with C*U^-1 of full column rank, so
+the two hold together, and no A^k is formed. After ``drazin_inverse`` on the
+same A the sequence is not run again.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Optional
 
 from .errors import DimensionMismatch
 from .exact import RMatrix, mat_mul, mat_transpose
-from .square import _index_and_power
+from .square import _index_and_skeleton
 
 _CLASS_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("{1}", ("eq1",)),
@@ -73,8 +78,8 @@ def check(a: RMatrix, x: RMatrix) -> PenroseReport:
     eq4 = mat_transpose(xa) == xa
     if a.is_square:
         eq5: Optional[bool] = ax == xa
-        _, ak = _index_and_power(a)
-        eq6: Optional[bool] = mat_mul(ak, xa) == ak
+        _, (_, r) = _index_and_skeleton(a)
+        eq6: Optional[bool] = mat_mul(r, xa) == r
     else:
         eq5 = eq6 = None
     return PenroseReport(eq1, eq2, eq3, eq4, eq5, eq6, _labels(eq1, eq2, eq3, eq4, eq5, eq6))

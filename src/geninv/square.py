@@ -3,16 +3,20 @@ inverses, and EP detection.
 
 The index of A is the smallest k >= 0 with rank(A^k) = rank(A^(k+1)); it
 equals the lowest degree with a nonzero coefficient in the minimal
-polynomial. ``index_of``, ``penrose.check`` and ``drazin_inverse`` read k
-and A^k from the rank sequence, ``group_inverse_poly`` from the minimal
+polynomial. ``index_of``, ``penrose.check`` and ``drazin_inverse`` read k,
+and A^k's pivot columns and rows, from the rank sequence, which ranks each
+power by the elimination that gives its skeleton and keeps the last square
+matrix's answer, so a ``check`` after ``drazin_inverse`` on the same A
+eliminates nothing. ``group_inverse_poly`` reads k from the minimal
 polynomial it needs anyway; the tests assert that the routes agree, as they
 do for ``is_ep``'s rank test against the definition A^+ = A^D.
 
 The Drazin inverse is Cline's full-rank form (R. E. Cline, SIAM J. Numer.
 Anal. 5, 1968; Ben-Israel & Greville, *Generalized Inverses*, ch. 4): for
 A^k = F*G of full rank, k >= index of A, A^D = F*(G*A*F)^-1*G. A^k's pivot
-columns C = A^k[:,J] and rows R = A^k[I,:] (``exact._skeleton``) give
-A^k = C*U^-1*R, U = A^k[I,J], and F = C, G = U^-1*R give A^D = C*(R*A*C)^-1*R.
+columns C = A^k[:,J] and rows R = A^k[I,:] (``exact._skeleton``, the
+elimination that ranked A^k) give A^k = C*U^-1*R, U = A^k[I,J], and F = C,
+G = U^-1*R give A^D = C*(R*A*C)^-1*R.
 
 The minimal polynomial is the lcm of the unit rows' annihilators (Gantmacher,
 *The Theory of Matrices*, vol. 1; Augot & Camion, Linear Algebra Appl. 260,
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionMismatch, IndexTooLarge, SingularMatrix
 from .exact import (RMatrix, _annihilator, _make, _skeleton, _unit, block_compose,
@@ -132,18 +137,22 @@ def q_polynomial(mu: MinimalPolynomial) -> tuple[Fraction, ...]:
                   for c in mu.coeffs[k + 1:]]) or (Fraction(0),)
 
 
-def _index_and_power(a: RMatrix) -> tuple[int, RMatrix]:
-    """The index k by the rank sequence, with A^k: k products and k + 1 ranks."""
-    k, power, prev, nxt = 0, identity(a.rows), a.rows, a  # A^0, its rank, A^1
-    while (cur := mat_rank(nxt)) != prev:
-        k, power, prev, nxt = k + 1, nxt, cur, mat_mul(nxt, a)
-    return k, power
+@lru_cache(maxsize=1)
+def _index_and_skeleton(a: RMatrix) -> tuple[int, tuple[RMatrix, RMatrix]]:
+    """The index k by the rank sequence, with the pivot columns and rows (C, R)
+    of A^k from the elimination that ranked it, C = R = I at k = 0: k products
+    and k + 1 eliminations. The last matrix's answer is kept; A is immutable and
+    compared by value, so a kept answer is never stale."""
+    k, skeleton, power = 0, (identity(a.rows),) * 2, a  # A^0's, and A^1
+    while (nxt := _skeleton(power))[1].rows != skeleton[1].rows:
+        k, skeleton, power = k + 1, nxt, mat_mul(power, a)
+    return k, skeleton
 
 
 def index_of(a: RMatrix) -> int:
     """Smallest k with rank(A^k) = rank(A^(k+1)), by the rank sequence."""
     _require_square(a, "index")
-    return _index_and_power(a)[0]
+    return _index_and_skeleton(a)[0]
 
 
 def group_inverse_poly(a: RMatrix) -> RMatrix:
@@ -176,7 +185,7 @@ def group_inverse_block(a: RMatrix) -> RMatrix:
         v4i = mat_inverse(v4)
     except SingularMatrix:
         raise IndexTooLarge(
-            f"group inverse requires index <= 1, got {_index_and_power(a)[0]}") from None
+            f"group inverse requires index <= 1, got {_index_and_skeleton(a)[0]}") from None
     return g12_inverse(f, -mat_mul(v2, v4i), -mat_mul(v4i, v3))
 
 
@@ -184,8 +193,7 @@ def drazin_inverse(a: RMatrix) -> RMatrix:
     """C*(R*A*C)^-1*R for the pivot columns C and pivot rows R of A^k, k = index
     of A: zero for nilpotent A (C is n x 0), A^-1 for regular A (C = R = I)."""
     _require_square(a, "Drazin inverse")
-    _, ak = _index_and_power(a)
-    c, r = _skeleton(ak)
+    _, (c, r) = _index_and_skeleton(a)
     return mat_mul(mat_mul(c, mat_inverse(mat_mul(mat_mul(r, a), c))), r)
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import support
+from geninv import square
 
 settings.register_profile(
     "geninv",
@@ -10,6 +11,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("geninv")
+
+
+@pytest.fixture(autouse=True)
+def cold_rank_sequence():
+    """Start each test with no kept rank sequence, so that what a test counts
+    does not depend on the matrix the test before it left behind."""
+    square._index_and_skeleton.cache_clear()
 
 
 @pytest.fixture

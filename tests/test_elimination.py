@@ -6,8 +6,9 @@ denominator of 1 or up to 32 bits. The elimination is fraction-free, with
 no gcd, and a singular inverse stops before its back-substitution. A second
 reduction, from A's rows and columns reversed, must pass ``factor_with`` with
 the same rank. The minimal polynomial makes only its own coefficients,
-and Horner's ``poly_at`` no ``Fraction`` at all. The pseudoinverse and the
-Drazin inverse find their pivot columns and rows in one elimination, the
+and Horner's ``poly_at`` no ``Fraction`` at all. The pseudoinverse finds its
+pivot columns and rows in one elimination, the Drazin inverse those of A^k
+in the elimination that ranked A^k, which a later ``check`` reuses; the
 full-rank reduction is one elimination too, and the minimal polynomial one
 per unit row it visits, with no Krylov product once e_i*p(A) = 0."""
 
@@ -274,10 +275,17 @@ def test_full_rank_reduce_eliminates_once(a, monkeypatch):
     (3, support.nilpotent_jordan(3)), (1, zeros(3, 3)), (0, identity(2)),
 ], ids=lambda v: v if isinstance(v, int) else f"{v.rows}x{v.cols}")
 def test_drazin_inverse_eliminates_k_plus_3_times(k, a, monkeypatch):
-    # k + 1 ranks find the index, then one elimination finds the pivot
-    # columns and rows of A^k, and one inverts R*A*C
+    # cold, k + 1 eliminations rank A .. A^(k+1), the one of A^k giving its
+    # pivot columns and rows, and one inverts R*A*C: k + 2 in all. check and
+    # index_of then reuse that sequence, also on an equal matrix built apart
     assert index_of(a) == k
-    assert count_eliminations(monkeypatch, drazin_inverse, a) == k + 3
+    square._index_and_skeleton.cache_clear()
+    assert count_eliminations(monkeypatch, drazin_inverse, a) == k + 2
+    x, twin = drazin_inverse(a), RMatrix(a.rows, a.cols, a.entries)
+    assert twin is not a and twin == a
+    for b in (a, twin):
+        assert count_eliminations(monkeypatch, lambda b: check(b, x), b) == 0
+        assert count_eliminations(monkeypatch, index_of, b) == 0
 
 
 def krylov_visits(monkeypatch) -> list:

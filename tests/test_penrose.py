@@ -6,8 +6,8 @@ import pytest
 
 import support
 from geninv import (DimensionMismatch, RMatrix, check, drazin_inverse, full_rank_reduce,
-                    g1_inverse, g13_inverse, g2_inverse, identity, mat_mul, moore_penrose,
-                    zeros)
+                    g1_inverse, g13_inverse, g2_inverse, identity, mat_add, mat_mul, mat_pow,
+                    minimal_polynomial, moore_penrose, square, zeros)
 from geninv.penrose import _labels
 
 
@@ -57,6 +57,39 @@ def test_first_two_equations_in_either_grouping(m, n):
         assert (rep.eq1, rep.eq2) == want
         seen.add(want)
     assert seen == {(True, True), (False, False), (True, False), (False, True)}
+
+
+SIXTH_EQUATION_CASES = {
+    **{f"index {k}": (lambda rng, k=k: support.rand_with_index(rng, k, 4 - k))
+       for k in range(4)},
+    "nilpotent": lambda rng: support.rand_nilpotent(rng, 4),
+    "regular": lambda rng: support.rand_invertible(rng, 4),
+}
+
+
+@pytest.mark.parametrize("kind", SIXTH_EQUATION_CASES)
+def test_sixth_equation_against_its_definition(kind):
+    # check tests A^k*X*A = A^k as R*(X*A) = R for the pivot rows R of A^k;
+    # its answers are the definition's, with k from the minimal polynomial,
+    # whether the rank sequence is cold or kept from drazin_inverse, for
+    # candidates that hold eq6 and candidates that do not
+    rng = random.Random(kind)
+    a = SIXTH_EQUATION_CASES[kind](rng)
+    ak, n = mat_pow(a, minimal_polynomial(a).index), a.rows
+    bump = RMatrix.from_rows([[int(i == j == 0) for j in range(n)] for i in range(n)])
+    ad = drazin_inverse(a)
+    candidates = [ad, moore_penrose(a), zeros(n, n), support.rand_matrix(rng, n, n),
+                  mat_add(ad, bump)]
+    seen = set()
+    for x in candidates:
+        want = mat_mul(mat_mul(ak, x), a) == ak
+        square._index_and_skeleton.cache_clear()
+        assert check(a, x).eq6 == want
+        drazin_inverse(a)
+        assert check(a, x).eq6 == want
+        seen.add(want)
+    # A^k = 0 for a nilpotent A, and every X holds eq6
+    assert seen == ({True} if kind == "nilpotent" else {True, False})
 
 
 def test_dimension_check():

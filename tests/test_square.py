@@ -1,6 +1,8 @@
 """Minimal polynomial, index, group and Drazin inverses, EP detection."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import chain
 
@@ -326,11 +328,13 @@ class TestDrazinRoutes:
                 assert group_inverse_poly(a) == mat_mul(a, mat_pow(qa, 2))
 
     def test_each_power_formed_once(self, monkeypatch):
-        # only the rank sequence multiplies a power of A by A: drazin_inverse
-        # and check form up to A^(k+1) there. drazin_inverse's one other
-        # product by A is R*A, with R the pivot rows of A^k. minimal_polynomial
-        # multiplies only rows by A, and group_inverse_poly's other products by
-        # A are Horner's len(q) - 1 for q(A).
+        # only the rank sequence multiplies a power of A by A: a cold
+        # drazin_inverse or check forms A^2 .. A^(k+1) there, once each, and
+        # after drazin_inverse neither forms one again on the same A.
+        # drazin_inverse's one other product by A is R*A, with R the pivot
+        # rows of A^k. minimal_polynomial multiplies only rows by A, and
+        # group_inverse_poly's other products by A are Horner's len(q) - 1
+        # for q(A).
         products = []
         real_mul = square.mat_mul
         for module in (square, exact):  # exact's scan multiplies through its own global
@@ -345,10 +349,13 @@ class TestDrazinRoutes:
         for a in self.cases():
             k, mu = index_of(a), minimal_polynomial(a)
             lower, ak = [mat_pow(a, j) for j in range(1, k + 1)], mat_pow(a, k)
+            square._index_and_skeleton.cache_clear()
             assert lefts_of_a(lambda a: check(a, zeros(a.rows, a.rows)), a) == lower
+            square._index_and_skeleton.cache_clear()
             *sequence, r = lefts_of_a(drazin_inverse, a)
             assert sequence == lower
             assert r.rows == mat_rank(ak) and set(r.entries) <= set(ak.entries)
+            assert lefts_of_a(lambda a: check(a, drazin_inverse(a)), a) == [r]
             rows_by_a = lefts_of_a(minimal_polynomial, a)
             assert len(rows_by_a) == len(products) and all(x.rows == 1 for x in rows_by_a)
             if k <= 1:
@@ -361,6 +368,51 @@ class TestDrazinRoutes:
         for a in self.cases():
             assert index_of(a) == minimal_polynomial(a).index
             assert is_ep(a) == (moore_penrose(a) == drazin_inverse(a))
+
+
+class TestKeptRankSequence:
+    """The rank sequence keeps the last square matrix's answer, found by value:
+    any order of calls, on equal copies or from several threads, must give
+    what a cold computation gives."""
+
+    def matrices(self):
+        rng = random.Random(29)
+        return [rand_with_index(rng, k, n - k) for n in (4, 5) for k in range(4)]
+
+    def cold(self, a):
+        """(index, Drazin inverse, eq6 of check) with nothing kept before each call."""
+        square._index_and_skeleton.cache_clear()
+        k = index_of(a)
+        square._index_and_skeleton.cache_clear()
+        x = drazin_inverse(a)
+        square._index_and_skeleton.cache_clear()
+        return k, x, check(a, x).eq6
+
+    def warm(self, a):
+        x = drazin_inverse(a)
+        return index_of(a), x, check(a, x).eq6
+
+    def test_interleaved_and_equal_copies(self):
+        cases = [(a, self.cold(a)) for a in self.matrices()]
+        for (a, want_a), (b, want_b) in zip(cases, cases[1:]):
+            copy_a, copy_b = (RMatrix(m.rows, m.cols, m.entries) for m in (a, b))
+            for m, want in ((a, want_a), (b, want_b), (a, want_a), (copy_a, want_a),
+                            (b, want_b), (copy_b, want_b), (copy_a, want_a)):
+                assert index_of(m) == want[0]
+                assert self.warm(m) == want
+
+    def test_threads_match_serial(self):
+        # exact is safe to use from several threads; the kept answer must be too
+        mats = self.matrices() * 4
+        want = [self.cold(a) for a in mats]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the sequence too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(self.warm, mats, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestEP:

@@ -68,14 +68,18 @@ def test_tracer_sees_the_square_routes(monkeypatch):
 
 
 def test_tracer_sees_the_drazin_ranks(monkeypatch):
-    # drazin_inverse reaches mat_rank only in the rank sequence, k + 1 times at
-    # index k: its pivot columns and rows come from an elimination of their own
+    # a cold drazin_inverse at index k forms A^2 .. A^(k+1) and then R*A,
+    # (R*A)*C, C*(R*A*C)^-1 and that times R, inverts once, and never calls
+    # mat_rank: the rank sequence ranks each power by the elimination that
+    # gives its pivot columns and rows
     geninv = importlib.import_module("geninv")
+    names = ("exact.mat_mul", "exact.mat_rank", "exact.mat_inverse")
     for k in range(4):
         a = support.rand_with_index(random.Random(k), k, 4 - k)
         assert geninv.index_of(a) == k
-        calls = per_call(monkeypatch, ("exact.mat_rank",), (geninv.drazin_inverse,), a)
-        assert calls == [[k + 1]]
+        geninv.square._index_and_skeleton.cache_clear()
+        calls = per_call(monkeypatch, names, (geninv.drazin_inverse,), a)
+        assert calls == [[k + 4, 0, 1]]
 
 
 def test_tracer_sees_the_pseudoinverse_route(monkeypatch):
