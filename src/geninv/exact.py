@@ -30,6 +30,10 @@ exactly by a pivot, so every entry stays a minor of the integer grid and no
 gcd is taken. A row's denominator is fixed by its position, so no row
 carries one.
 
+``rect``'s pseudoinverse and ``square``'s Drazin inverse are one formula,
+the outer inverse B*(W*A*B)^-1*W, written once in ``_outer``; when B and W
+are square, A is regular and ``_outer`` returns A^-1 itself.
+
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
 MatrixFile writer use it. MatrixFile text is read in ``cli``.
@@ -326,6 +330,16 @@ def mat_inverse(a: RMatrix) -> RMatrix:
     for t, row in enumerate(_back_substitute(rows, n)):
         out[cols[t]] = row[n:]  # row t of (A*Pi)^-1 is row cols[t] of A^-1
     return _make(n, n, [x for row in out for x in row], rows[n - 1][n - 1] if n else 1)
+
+
+def _outer(b: RMatrix, a: RMatrix, w: RMatrix) -> RMatrix:
+    """B*(W*A*B)^-1*W for B (n x r) and W (r x m) of rank r: the outer inverse
+    of A with range R(B) and null space N(W) (Urquhart; Ben-Israel & Greville,
+    *Generalized Inverses*, ch. 2). Square B and W mean r = m = n, so A is
+    regular and the value is A^-1, which is returned with no product."""
+    if b.is_square and w.is_square:
+        return mat_inverse(a)
+    return mat_mul(mat_mul(b, mat_inverse(mat_mul(mat_mul(w, a), b))), w)
 
 
 def mat_rank(a: RMatrix) -> int:

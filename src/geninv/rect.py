@@ -30,7 +30,9 @@ against ``penrose.check``.
 full-rank form (Ben-Israel & Greville, *Generalized Inverses*, ch. 1): for
 A = F*G of full rank, A^+ = Gt*(Ft*A*Gt)^-1*Ft. A's pivot columns C = A[:,J]
 and rows R = A[I,:] (``exact._skeleton``) give A = C*U^-1*R, U = A[I,J], and
-F = C, G = U^-1*R give A^+ = Rt*(Ct*A*Rt)^-1*Ct. The paper's block formula
+F = C, G = U^-1*R give A^+ = Rt*(Ct*A*Rt)^-1*Ct: the outer inverse
+B*(W*A*B)^-1*W of ``exact._outer`` with B = Rt and W = Ct, which is A^-1 for
+a regular A. The paper's block formula
 P*[[I, -S2*S4^-1], [-T4^-1*T3, T4^-1*T3*S2*S4^-1]]*Q gives the same matrix on
 every reduction, which the tests assert.
 """
@@ -40,7 +42,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DimensionMismatch, NotIdempotent
-from .exact import (RMatrix, _skeleton, block_compose, block_extract, identity, mat_add,
+from .exact import (RMatrix, _outer, _skeleton, block_compose, block_extract, identity, mat_add,
                     mat_inverse, mat_mul, mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix
 
@@ -193,7 +195,6 @@ def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:
 def moore_penrose(a: RMatrix) -> RMatrix:
     """The Moore-Penrose inverse, the unique matrix satisfying all four
     defining equations: Rt*(Ct*A*Rt)^-1*Ct for the pivot columns C and pivot
-    rows R of A, an n x m zero at rank 0 (C is m x 0)."""
+    rows R of A, A^-1 for a regular A and an n x m zero at rank 0 (C is m x 0)."""
     c, r = _skeleton(a)
-    ct, rt = mat_transpose(c), mat_transpose(r)
-    return mat_mul(mat_mul(rt, mat_inverse(mat_mul(mat_mul(ct, a), rt))), ct)
+    return _outer(mat_transpose(r), a, mat_transpose(c))

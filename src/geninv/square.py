@@ -16,7 +16,9 @@ Anal. 5, 1968; Ben-Israel & Greville, *Generalized Inverses*, ch. 4): for
 A^k = F*G of full rank, k >= index of A, A^D = F*(G*A*F)^-1*G. A^k's pivot
 columns C = A^k[:,J] and rows R = A^k[I,:] (``exact._skeleton``, the
 elimination that ranked A^k) give A^k = C*U^-1*R, U = A^k[I,J], and F = C,
-G = U^-1*R give A^D = C*(R*A*C)^-1*R.
+G = U^-1*R give A^D = C*(R*A*C)^-1*R: the outer inverse B*(W*A*B)^-1*W of
+``exact._outer`` with B = C and W = R, which at k = 0 (C = R = I) is A^-1
+with no product.
 
 The minimal polynomial is the lcm of the unit rows' annihilators (Gantmacher,
 *The Theory of Matrices*, vol. 1; Augot & Camion, Linear Algebra Appl. 260,
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, IndexTooLarge, SingularMatrix
-from .exact import (RMatrix, _annihilator, _make, _skeleton, _unit, block_compose,
+from .exact import (RMatrix, _annihilator, _make, _outer, _skeleton, _unit, block_compose,
                     block_extract, identity, mat_add, mat_inverse, mat_mul, mat_rank,
                     mat_scale, mat_transpose, zeros)
 from .factorize import FactoredMatrix, full_rank_reduce
@@ -194,7 +196,7 @@ def drazin_inverse(a: RMatrix) -> RMatrix:
     of A: zero for nilpotent A (C is n x 0), A^-1 for regular A (C = R = I)."""
     _require_square(a, "Drazin inverse")
     _, (c, r) = _index_and_skeleton(a)
-    return mat_mul(mat_mul(c, mat_inverse(mat_mul(mat_mul(r, a), c))), r)
+    return _outer(c, a, r)
 
 
 def is_ep(a: RMatrix) -> bool:

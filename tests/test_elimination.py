@@ -260,7 +260,8 @@ SHAPES = [
 
 @pytest.mark.parametrize("a", SHAPES, ids=lambda a: f"{a.rows}x{a.cols}")
 def test_moore_penrose_eliminates_twice(a, monkeypatch):
-    # one elimination finds the pivot columns and rows, one inverts Ct*A*Rt
+    # one elimination finds the pivot columns and rows, one inverts Ct*A*Rt,
+    # or A itself when A is regular
     assert count_eliminations(monkeypatch, moore_penrose, a) == 2
 
 

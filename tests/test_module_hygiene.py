@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import geninv
 
 SRC = Path(geninv.__file__).parent
@@ -64,6 +66,24 @@ def test_only_exact_steps_the_rows():
     # the integer rows and their steps are exact's alone: no other module
     # back-substitutes the elimination's rows itself
     assert modules_naming("_back_substitute") == {"exact.py"}
+
+
+def names_in_body(path, function):
+    """The names that the body of ``function``, defined at the top of path,
+    reads: as a name or an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    [node] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+@pytest.mark.parametrize("module, function", [("rect", "moore_penrose"),
+                                              ("square", "drazin_inverse")])
+def test_unique_inverses_share_one_core(module, function):
+    # B*(W*A*B)^-1*W is written once, in exact._outer, which also decides the
+    # regular case: neither unique inverse inverts a matrix itself
+    names = names_in_body(SRC / f"{module}.py", function)
+    assert "_outer" in names and "mat_inverse" not in names
 
 
 REIMPORT = """

@@ -332,7 +332,8 @@ class TestDrazinRoutes:
         # drazin_inverse or check forms A^2 .. A^(k+1) there, once each, and
         # after drazin_inverse neither forms one again on the same A.
         # drazin_inverse's one other product by A is R*A, with R the pivot
-        # rows of A^k. minimal_polynomial multiplies only rows by A, and
+        # rows of A^k, at k >= 1; at k = 0 it inverts A itself and forms no
+        # product. minimal_polynomial multiplies only rows by A, and
         # group_inverse_poly's other products by A are Horner's len(q) - 1
         # for q(A).
         products = []
@@ -352,10 +353,11 @@ class TestDrazinRoutes:
             square._index_and_skeleton.cache_clear()
             assert lefts_of_a(lambda a: check(a, zeros(a.rows, a.rows)), a) == lower
             square._index_and_skeleton.cache_clear()
-            *sequence, r = lefts_of_a(drazin_inverse, a)
-            assert sequence == lower
-            assert r.rows == mat_rank(ak) and set(r.entries) <= set(ak.entries)
-            assert lefts_of_a(lambda a: check(a, drazin_inverse(a)), a) == [r]
+            by_a = lefts_of_a(drazin_inverse, a)
+            assert by_a[:k] == lower and len(by_a) == (k + 1 if k else 0)
+            for r in by_a[k:]:
+                assert r.rows == mat_rank(ak) and set(r.entries) <= set(ak.entries)
+            assert lefts_of_a(lambda a: check(a, drazin_inverse(a)), a) == by_a[k:]
             rows_by_a = lefts_of_a(minimal_polynomial, a)
             assert len(rows_by_a) == len(products) and all(x.rows == 1 for x in rows_by_a)
             if k <= 1:
