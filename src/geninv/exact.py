@@ -21,18 +21,20 @@ elimination leaves, ``block_compose``'s blocks) is put over the lcm of theirs
 by one builder, ``_over_lcm``: a sum adds where those concatenate. No other
 module takes an lcm.
 
-Rank, inverse, the skeleton (pivot columns and rows), the full-rank
-reduction and the annihilator behind ``square``'s minimal polynomial share
-one elimination, ``_echelon``, on plain rows of integers; the inverse and
-the reduction then share one back-substitution among the pivot rows,
+Rank, the solve M^-1*W (the inverse solves [A | I]), the skeleton (pivot
+columns and rows), the full-rank reduction and the annihilator behind
+``square``'s minimal polynomial share one elimination, ``_echelon``, on plain
+rows of integers; the solve and the reduction then share one
+back-substitution among the pivot rows,
 ``_back_substitute``. Both are fraction-free (Bareiss): a row step divides
 exactly by a pivot, so every entry stays a minor of the integer grid and no
 gcd is taken. A row's denominator is fixed by its position, so no row
 carries one.
 
 ``rect``'s pseudoinverse and ``square``'s Drazin inverse are one formula,
-the outer inverse B*(W*A*B)^-1*W, written once in ``_outer``; when B and W
-are square, A is regular and ``_outer`` returns A^-1 itself.
+the outer inverse B*(W*A*B)^-1*W, written once in ``_outer`` as B times one
+solve of [W*A*B | W]; when B and W are square, A is regular and ``_outer``
+returns A^-1 itself.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -229,6 +231,12 @@ def _rows(a: RMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple([a._nums[i * c:(i + 1) * c] for i in range(a.rows)])
 
 
+def _cols(a: RMatrix) -> tuple[tuple[int, ...], ...]:
+    """The numerators of a, column by column."""
+    c = a.cols
+    return tuple([a._nums[j::c] for j in range(c)])
+
+
 def _texts(a: RMatrix) -> list[list[str]]:
     """The text of each entry of a, row by row, as ``str`` writes its
     ``Fraction``: lowest terms, the sign on the numerator, and ``/den`` only
@@ -292,15 +300,13 @@ def mat_scale(a: RMatrix, s) -> RMatrix:
 def mat_mul(a: RMatrix, b: RMatrix) -> RMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n = b.cols
-    cols = [b._nums[j::n] for j in range(n)]
-    return _make(a.rows, n, [sum(map(mul, row, col)) for row in _rows(a) for col in cols],
+    cols = _cols(b)
+    return _make(a.rows, b.cols, [sum(map(mul, row, col)) for row in _rows(a) for col in cols],
                  a._den * b._den)
 
 
 def mat_transpose(a: RMatrix) -> RMatrix:
-    c = a.cols
-    return _make(c, a.rows, [x for j in range(c) for x in a._nums[j::c]], a._den)
+    return _make(a.cols, a.rows, [x for col in _cols(a) for x in col], a._den)
 
 
 def mat_pow(a: RMatrix, k: int) -> RMatrix:
@@ -317,29 +323,67 @@ def mat_pow(a: RMatrix, k: int) -> RMatrix:
 
 
 def mat_inverse(a: RMatrix) -> RMatrix:
-    """Exact inverse: forward elimination of [A | I], a singular A refused
-    before any back-substitution, then the back-substitution, after which
-    pivot row t is d times [e_t | row cols[t] of A^-1], d the last pivot."""
+    """Exact inverse: the solve of [A | I]."""
     if not a.is_square:
         raise DimensionMismatch(f"only square matrices are invertible, got {a.rows}x{a.cols}")
-    n = a.rows
-    rank, rows, _, cols = _echelon(_augmented(a), n)
+    return _solve_rows(_augmented(a), a.rows, a.rows)
+
+
+def _solve(m: RMatrix, w: RMatrix) -> RMatrix:
+    """M^-1*W for a W with M's rows: the solve of [M | W], both halves over the
+    lcm of their denominators."""
+    den = lcm(m._den, w._den)
+    fm, fw = den // m._den, den // w._den
+    return _solve_rows([[*[fm * x for x in row], *[fw * x for x in wrow]]
+                        for row, wrow in zip(_rows(m), _rows(w))], m.rows, w.cols)
+
+
+def _solve_rows(rows, n: int, p: int) -> RMatrix:
+    """M^-1*W from the integer rows of [M | W], M n x n and W n x p, over one
+    denominator: forward elimination on M's columns, a singular M refused
+    before any back-substitution, then the back-substitution, after which
+    pivot row t is d times [e_t | row cols[t] of M^-1*W], d the last pivot."""
+    rank, rows, _, cols = _echelon(rows, n)
     if rank < n:
         raise SingularMatrix(f"matrix of size {n} has rank below {n}")
     out = [()] * n
     for t, row in enumerate(_back_substitute(rows, n)):
-        out[cols[t]] = row[n:]  # row t of (A*Pi)^-1 is row cols[t] of A^-1
-    return _make(n, n, [x for row in out for x in row], rows[n - 1][n - 1] if n else 1)
+        out[cols[t]] = row[n:]  # row t of (M*Pi)^-1*W is row cols[t] of M^-1*W
+    return _make(n, p, [x for row in out for x in row], rows[n - 1][n - 1] if n else 1)
 
 
 def _outer(b: RMatrix, a: RMatrix, w: RMatrix) -> RMatrix:
     """B*(W*A*B)^-1*W for B (n x r) and W (r x m) of rank r: the outer inverse
     of A with range R(B) and null space N(W) (Urquhart; Ben-Israel & Greville,
-    *Generalized Inverses*, ch. 2). Square B and W mean r = m = n, so A is
-    regular and the value is A^-1, which is returned with no product."""
+    *Generalized Inverses*, ch. 2), by one ``_solve``. Square B and W mean
+    r = m = n, so A is regular and the value is A^-1, with no product."""
     if b.is_square and w.is_square:
         return mat_inverse(a)
-    return mat_mul(mat_mul(b, mat_inverse(mat_mul(mat_mul(w, a), b))), w)
+    return mat_mul(b, _solve(mat_mul(mat_mul(w, a), b), w))
+
+
+def _product_is(a: RMatrix, b: RMatrix, c: RMatrix) -> bool:
+    """Whether A*B == C, for C of A*B's shape, with no matrix made: dc divides
+    da*db, and row by row, up to the first that differs, the integer dot
+    products equal C's numerators times da*db/dc."""
+    f, rem = divmod(a._den * b._den, c._den)
+    cols = _cols(b)
+    return not rem and all([sum(map(mul, row, col)) for col in cols] == [f * x for x in crow]
+                           for row, crow in zip(_rows(a), _rows(c)))
+
+
+def _product_is_symmetric(a: RMatrix, b: RMatrix) -> bool:
+    """Whether A*B, square, is symmetric, with no matrix made: its integer dot
+    products below the diagonal against those above."""
+    rows, cols = _rows(a), _cols(b)
+    return ([sum(map(mul, row, col)) for i, row in enumerate(rows) for col in cols[:i]]
+            == [sum(map(mul, row, col)) for i, col in enumerate(cols) for row in rows[:i]])
+
+
+def _is_symmetric(m: RMatrix) -> bool:
+    """Whether square M equals its transpose: each row against the column of
+    the same index, with no matrix made."""
+    return _rows(m) == _cols(m)
 
 
 def mat_rank(a: RMatrix) -> int:

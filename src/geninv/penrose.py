@@ -3,13 +3,16 @@
 ``check`` evaluates, for a pair (A, X): A*X*A = A, X*A*X = X, symmetry of
 A*X and of X*A, and for square A additionally A*X = X*A and A^k*X*A = A^k at
 k = index of A. The report also carries the inverse-class labels implied by
-the satisfied equations. A*X and X*A are formed once each, and the first two
-equations go through the smaller of them, which gives the same answers.
+the satisfied equations. Only the smaller of A*X and X*A is formed (both for
+a square A, for the fifth equation), and the first two equations through it
+are tested in place, with no A*X*A or X*A*X formed; so is the symmetry of
+either product, formed or not.
 
 The sixth equation is tested as R*X*A = R for the pivot rows R of A^k that
 the rank sequence keeps: A^k = C*U^-1*R with C*U^-1 of full column rank, so
-the two hold together, and no A^k is formed. After ``drazin_inverse`` on the
-same A the sequence is not run again.
+the two hold together, and no A^k is formed. At index 0, R = I and X*A is
+compared with it directly. After ``drazin_inverse`` on the same A the
+sequence is not run again.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DimensionMismatch
-from .exact import RMatrix, mat_mul, mat_transpose
+from .exact import RMatrix, _is_symmetric, _product_is, _product_is_symmetric, mat_mul
 from .square import _index_and_skeleton
 
 _CLASS_TABLE: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -66,20 +69,18 @@ def check(a: RMatrix, x: RMatrix) -> PenroseReport:
         raise DimensionMismatch(
             f"candidate must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} matrix, "
             f"got {x.rows}x{x.cols}")
-    ax = mat_mul(a, x)
-    xa = mat_mul(x, a)
-    if a.rows > a.cols:  # X*A is the smaller product: n x n against m x m
-        eq1 = mat_mul(a, xa) == a
-        eq2 = mat_mul(xa, x) == x
+    ax = mat_mul(a, x) if a.rows <= a.cols else None
+    xa = mat_mul(x, a) if a.rows >= a.cols else None
+    if ax is None:
+        eq1, eq2 = _product_is(a, xa, a), _product_is(xa, x, x)
     else:
-        eq1 = mat_mul(ax, a) == a
-        eq2 = mat_mul(x, ax) == x
-    eq3 = mat_transpose(ax) == ax
-    eq4 = mat_transpose(xa) == xa
+        eq1, eq2 = _product_is(ax, a, a), _product_is(x, ax, x)
+    eq3 = _product_is_symmetric(a, x) if ax is None else _is_symmetric(ax)
+    eq4 = _product_is_symmetric(x, a) if xa is None else _is_symmetric(xa)
     if a.is_square:
         eq5: Optional[bool] = ax == xa
         _, (_, r) = _index_and_skeleton(a)
-        eq6: Optional[bool] = mat_mul(r, xa) == r
+        eq6: Optional[bool] = xa == r if r.is_square else _product_is(r, xa, r)
     else:
         eq5 = eq6 = None
     return PenroseReport(eq1, eq2, eq3, eq4, eq5, eq6, _labels(eq1, eq2, eq3, eq4, eq5, eq6))

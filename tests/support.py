@@ -6,10 +6,12 @@ import random
 
 from hypothesis import strategies as st
 
-from geninv import (FactoredMatrix, MinimalPolynomial, RMatrix, SingularMatrix,
-                    compute_star_blocks, drazin_inverse, factor_with, full_rank_reduce,
-                    g12_inverse, identity, mat_inverse, mat_mul, mat_rank, mat_scale,
-                    mat_transpose)
+from geninv import (DimensionMismatch, FactoredMatrix, MinimalPolynomial, RMatrix,
+                    SingularMatrix, compute_star_blocks, drazin_inverse, factor_with,
+                    full_rank_reduce, g12_inverse, identity, mat_inverse, mat_mul, mat_rank,
+                    mat_scale, mat_transpose)
+from geninv.penrose import PenroseReport, _labels
+from geninv.square import _index_and_skeleton
 
 # 3x3 rank-2 matrix used by the first two worked examples.
 EX1 = RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -173,6 +175,35 @@ def pseudoinverse_on(f: FactoredMatrix) -> RMatrix:
     P*[[I, X1], [X2, X2*X1]]*Q with X1 = -S2*S4^-1 and X2 = -T4^-1*T3."""
     (_, s2, _, s4), (_, _, t3, t4) = compute_star_blocks(f)
     return g12_inverse(f, -mat_mul(s2, mat_inverse(s4)), -mat_mul(mat_inverse(t4), t3))
+
+
+def ref_check(a: RMatrix, x: RMatrix) -> PenroseReport:
+    """``check`` with every product formed: A*X and X*A both, the first two
+    equations through the smaller of them as ``mat_mul`` products, each
+    symmetry against a ``mat_transpose`` and the sixth equation as R*(X*A)
+    for the pivot rows R of A^k, R = I at index 0. The oracle for the
+    in-place comparisons of ``check``."""
+    if x.shape != (a.cols, a.rows):
+        raise DimensionMismatch(
+            f"candidate must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} matrix, "
+            f"got {x.rows}x{x.cols}")
+    ax = mat_mul(a, x)
+    xa = mat_mul(x, a)
+    if a.rows > a.cols:  # X*A is the smaller product: n x n against m x m
+        eq1 = mat_mul(a, xa) == a
+        eq2 = mat_mul(xa, x) == x
+    else:
+        eq1 = mat_mul(ax, a) == a
+        eq2 = mat_mul(x, ax) == x
+    eq3 = mat_transpose(ax) == ax
+    eq4 = mat_transpose(xa) == xa
+    if a.is_square:
+        eq5 = ax == xa
+        _, (_, r) = _index_and_skeleton(a)
+        eq6 = mat_mul(r, xa) == r
+    else:
+        eq5 = eq6 = None
+    return PenroseReport(eq1, eq2, eq3, eq4, eq5, eq6, _labels(eq1, eq2, eq3, eq4, eq5, eq6))
 
 
 # Reference eliminations: plain Fraction loops that share no code with the

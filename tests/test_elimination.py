@@ -275,10 +275,11 @@ def test_full_rank_reduce_eliminates_once(a, monkeypatch):
     *((k, support.rand_with_index(random.Random(10 + k), k, 5 - k)) for k in range(4)),
     (3, support.nilpotent_jordan(3)), (1, zeros(3, 3)), (0, identity(2)),
 ], ids=lambda v: v if isinstance(v, int) else f"{v.rows}x{v.cols}")
-def test_drazin_inverse_eliminates_k_plus_3_times(k, a, monkeypatch):
+def test_drazin_inverse_eliminates_k_plus_2_times(k, a, monkeypatch):
     # cold, k + 1 eliminations rank A .. A^(k+1), the one of A^k giving its
-    # pivot columns and rows, and one inverts R*A*C: k + 2 in all. check and
-    # index_of then reuse that sequence, also on an equal matrix built apart
+    # pivot columns and rows, and one solves [R*A*C | R], or [A | I] at k = 0:
+    # k + 2 in all. check and index_of then reuse that sequence, also on an
+    # equal matrix built apart
     assert index_of(a) == k
     square._index_and_skeleton.cache_clear()
     assert count_eliminations(monkeypatch, drazin_inverse, a) == k + 2

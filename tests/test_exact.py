@@ -439,6 +439,121 @@ class TestTextbookProduct:
             assert_textbook_product(misscaled, a, b)
 
 
+@st.composite
+def solve_operands(draw):
+    """(M, W): M an n x n product L*R of an n x k and a k x n factor with wide
+    entries, singular when k < n, and W n x p, for n, p = 0..4."""
+    n, p = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+
+    def grid(rows, cols):
+        return RMatrix(rows, cols, tuple(tuple(draw(WIDE_FRACTIONS) for _ in range(cols))
+                                         for _ in range(rows)))
+
+    return mat_mul(grid(n, k), grid(k, n)), grid(n, p)
+
+
+def bumped(m, i, j, by):
+    """m with by added to its entry (i, j)."""
+    return RMatrix(m.rows, m.cols, tuple(tuple(v + by if (r, c) == (i, j) else v
+                                               for c, v in enumerate(row))
+                                         for r, row in enumerate(m.entries)))
+
+
+class TestSolve:
+    @given(solve_operands())
+    def test_equals_inverse_times_w(self, operands):
+        m, w = operands
+        if support.ref_rank(m) < m.rows:
+            with pytest.raises(SingularMatrix,
+                               match=f"^matrix of size {m.rows} has rank below {m.rows}$"):
+                exact._solve(m, w)
+        else:
+            assert exact._solve(m, w) == mat_mul(mat_inverse(m), w)
+
+    @pytest.mark.parametrize("m, w", [
+        (zeros(0, 0), zeros(0, 0)), (zeros(0, 0), zeros(0, 3)),
+        (RMatrix.from_rows([[2, 1], [1, 1]]), zeros(2, 0)),
+        (RMatrix.from_rows([["1/2", 1], [3, "-1/3"]]), RMatrix.from_rows([[1, "1/5", 0]] * 2)),
+    ], ids=["0x0", "0x0 by 0x3", "0-width W", "rational"])
+    def test_named_regular(self, m, w):
+        assert exact._solve(m, w) == mat_mul(support.ref_inverse(m), w)
+
+    @pytest.mark.parametrize("w", [zeros(2, 0), identity(2), RMatrix.from_rows([[1], [2]])],
+                             ids=lambda w: f"{w.rows}x{w.cols}")
+    def test_singular_is_refused_as_by_mat_inverse(self, w):
+        m = RMatrix.from_rows([[1, 2], [2, 4]])
+        with pytest.raises(SingularMatrix) as by_inverse:
+            mat_inverse(m)
+        with pytest.raises(SingularMatrix, match=f"^{by_inverse.value}$"):
+            exact._solve(m, w)
+
+
+class TestInPlaceComparisons:
+    @given(product_operands(), st.sampled_from(("product", "bumped", "other denominator")),
+           st.data())
+    def test_product_is_agrees_with_mul(self, operands, kind, data):
+        a, b = operands
+        c = product = mat_mul(a, b)
+        if kind != "product" and product.rows * product.cols:
+            i = data.draw(st.integers(0, product.rows - 1))
+            j = data.draw(st.integers(0, product.cols - 1))
+            c = bumped(product, i, j,
+                       1 if kind == "bumped" else Fraction(1, data.draw(DENOMINATORS)))
+        assert exact._product_is(a, b, c) == (product == c)
+
+    @pytest.mark.parametrize("a, b", [
+        (zeros(0, 3), zeros(3, 2)), (zeros(2, 3), zeros(3, 0)),
+        (zeros(2, 0), zeros(0, 3)), (zeros(0, 0), zeros(0, 0)),
+    ], ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_product_is_on_empty_shapes(self, a, b):
+        assert exact._product_is(a, b, zeros(a.rows, b.cols))
+        if a.rows and b.cols:  # the inner dimension is 0: A*B is zero
+            assert not exact._product_is(a, b, partial_identity(a.rows, b.cols, 1))
+
+    def test_product_is_catches_a_scaled_product(self):
+        # the same numerators over another denominator are another matrix
+        a, b = RMatrix.from_rows([["1/2", 1], [1, 3]]), RMatrix.from_rows([[1, "1/3"], [2, 1]])
+        product = mat_mul(a, b)
+        for s in (2, Fraction(1, 2), Fraction(3, 7), -1):
+            assert not exact._product_is(a, b, mat_scale(product, s))
+        assert exact._product_is(a, b, product)
+        # 1/3 against 1/2: the numerators agree once C's are scaled by 3 // 2
+        one = RMatrix.from_rows([[1]])
+        assert not exact._product_is(RMatrix.from_rows([["1/3"]]), one,
+                                     RMatrix.from_rows([["1/2"]]))
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.sampled_from(("random", "gram", "bumped")),
+           st.data())
+    def test_symmetry_agrees_with_transpose(self, n, k, kind, data):
+        a = RMatrix(n, k, tuple(tuple(data.draw(WIDE_FRACTIONS) for _ in range(k))
+                                for _ in range(n)))
+        b = RMatrix(k, n, tuple(tuple(data.draw(WIDE_FRACTIONS) for _ in range(n))
+                                for _ in range(k)))
+        if kind != "random":
+            b = mat_transpose(a)  # A*At is symmetric
+            if kind == "bumped" and n * k:
+                b = bumped(b, data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1)),
+                           data.draw(WIDE_FRACTIONS))
+        product = mat_mul(a, b)
+        symmetric = mat_transpose(product) == product
+        assert exact._product_is_symmetric(a, b) == symmetric
+        assert exact._is_symmetric(product) == symmetric
+        if kind == "gram":
+            assert symmetric
+
+    @pytest.mark.parametrize("m, symmetric", [
+        (zeros(0, 0), True), (RMatrix.from_rows([[5]]), True),
+        (RMatrix.from_rows([[1, "1/2"], ["1/2", 3]]), True),
+        (RMatrix.from_rows([[1, "1/2"], ["1/3", 3]]), False),
+        (RMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 5, 6]]), True),
+        (RMatrix.from_rows([[1, 2, 3], [2, 4, 5], [3, 6, 6]]), False),
+        (RMatrix.from_rows([[1, 2, 4], [2, 4, 5], [3, 5, 6]]), False),
+    ], ids=lambda v: f"{v.rows}x{v.cols}" if isinstance(v, RMatrix) else str(v))
+    def test_is_symmetric_named(self, m, symmetric):
+        assert exact._is_symmetric(m) == (mat_transpose(m) == m) == symmetric
+
+
 class TestExactness:
     @given(st.data())
     def test_mul_associative(self, data):

@@ -6,8 +6,8 @@ import pytest
 
 import support
 from geninv import (DimensionMismatch, RMatrix, check, drazin_inverse, full_rank_reduce,
-                    g1_inverse, g13_inverse, g2_inverse, identity, mat_add, mat_mul, mat_pow,
-                    minimal_polynomial, moore_penrose, square, zeros)
+                    g1_inverse, g13_inverse, g14_inverse, g2_inverse, identity, mat_add,
+                    mat_mul, mat_pow, minimal_polynomial, moore_penrose, square, zeros)
 from geninv.penrose import _labels
 
 
@@ -90,6 +90,52 @@ def test_sixth_equation_against_its_definition(kind):
         seen.add(want)
     # A^k = 0 for a nilpotent A, and every X holds eq6
     assert seen == ({True} if kind == "nilpotent" else {True, False})
+
+
+def oracle_corpus():
+    """(A, X) pairs: tall, wide, square at index 0 to 3, rank 0, 1x1 and empty
+    A, each with its true inverses ({1,3}, {1,4}, Moore-Penrose and, if
+    square, Drazin), zero, a random X and the pseudoinverse with one entry
+    bumped."""
+    rng = random.Random(27)
+
+    def low_rank(m, n, r):
+        return mat_mul(support.rand_matrix(rng, m, r), support.rand_matrix(rng, r, n))
+
+    shapes = [low_rank(7, 3, 2), low_rank(6, 4, 4), support.rand_matrix(rng, 5, 2),
+              low_rank(3, 7, 2), low_rank(4, 6, 4), support.rand_matrix(rng, 2, 5),
+              *(support.rand_with_index(rng, k, 4 - k) for k in range(4)),
+              support.rand_with_index(rng, 2, 1), low_rank(4, 4, 2),
+              zeros(3, 4), zeros(4, 3), zeros(3, 3), RMatrix.from_rows([[5]]),
+              RMatrix.from_rows([[0]]), RMatrix.from_rows([["-2/3"]]),
+              zeros(0, 3), zeros(3, 0), zeros(0, 0)]
+    for a in shapes:
+        mp, n, m = moore_penrose(a), a.cols, a.rows
+        f = full_rank_reduce(a)
+        candidates = [mp, g13_inverse(f), g14_inverse(f), zeros(n, m)]
+        if n * m:
+            i0 = rng.randrange(n)
+            bump = [[int((i, j) == (i0, 0)) for j in range(m)] for i in range(n)]
+            candidates += [support.rand_matrix(rng, n, m), mat_add(mp, RMatrix.from_rows(bump))]
+        if a.is_square:
+            candidates.append(drazin_inverse(a))
+        for x in candidates:
+            yield a, x
+
+
+def test_same_reports_as_every_product_formed():
+    # check compares in place; its reports are those of the form that builds
+    # every product, with the rank sequence cold and kept
+    seen = set()
+    for a, x in oracle_corpus():
+        want = support.ref_check(a, x)
+        square._index_and_skeleton.cache_clear()
+        assert check(a, x) == want
+        assert check(a, x) == want
+        seen.update((name, getattr(want, name)) for name in ("eq1", "eq2", "eq3", "eq4",
+                                                              "eq5", "eq6"))
+    assert seen == {(f"eq{i}", v) for i in range(1, 7) for v in (True, False)} | {
+        ("eq5", None), ("eq6", None)}
 
 
 def test_dimension_check():

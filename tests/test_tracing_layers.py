@@ -57,22 +57,23 @@ def per_call(monkeypatch, names, runs, a):
 
 def test_tracer_sees_the_square_routes(monkeypatch):
     # group_inverse_poly reaches minimal_polynomial, q_polynomial and, for
-    # q(A), poly_at, and drazin_inverse mat_inverse, through module globals; a
-    # call made through any other reference reads 0 calls here
+    # q(A), poly_at, and drazin_inverse mat_mul, through module globals: A^2,
+    # R*A, (R*A)*C and C times the solve's (R*A*C)^-1*R. A call made through
+    # any other reference reads 0 calls here
     geninv = importlib.import_module("geninv")
     a = geninv.RMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # index 1
     names = ("square.minimal_polynomial", "square.q_polynomial", "square.poly_at",
-             "exact.mat_inverse")
+             "exact.mat_mul")
     calls = per_call(monkeypatch, names, (geninv.drazin_inverse, geninv.group_inverse_poly), a)
-    assert calls == [[0, 0, 0, 1], [1, 1, 1, 0]]
+    assert calls == [[0, 0, 0, 4], [1, 1, 1, 6]]
 
 
 def test_tracer_sees_the_drazin_ranks(monkeypatch):
     # a cold drazin_inverse at index k >= 1 forms A^2 .. A^(k+1) and then R*A,
-    # (R*A)*C, C*(R*A*C)^-1 and that times R, inverts once, and never calls
-    # mat_rank: the rank sequence ranks each power by the elimination that
-    # gives its pivot columns and rows. At k = 0 (C = R = I) it inverts A
-    # itself and forms no product
+    # (R*A)*C and C times (R*A*C)^-1*R, which one solve of [R*A*C | R] gives
+    # with no inverse, and never calls mat_rank: the rank sequence ranks each
+    # power by the elimination that gives its pivot columns and rows. At
+    # k = 0 (C = R = I) it inverts A itself and forms no product
     geninv = importlib.import_module("geninv")
     names = ("exact.mat_mul", "exact.mat_rank", "exact.mat_inverse")
     for k in range(4):
@@ -80,18 +81,19 @@ def test_tracer_sees_the_drazin_ranks(monkeypatch):
         assert geninv.index_of(a) == k
         geninv.square._index_and_skeleton.cache_clear()
         calls = per_call(monkeypatch, names, (geninv.drazin_inverse,), a)
-        assert calls == [[k + 4 if k else 0, 0, 1]]
+        assert calls == [[k + 3, 0, 0] if k else [0, 0, 1]]
 
 
 def test_tracer_sees_the_pseudoinverse_route(monkeypatch):
-    # moore_penrose is the full-rank form on A's pivot columns and rows: one
-    # r x r inverse between four products, and neither the reduction nor its
-    # Gram blocks; a regular A is inverted itself, with no product
+    # moore_penrose is the full-rank form on A's pivot columns and rows: three
+    # products around one solve of [Ct*A*Rt | Ct], with no inverse, and neither
+    # the reduction nor its Gram blocks; a regular A is inverted itself, with
+    # no product
     geninv = importlib.import_module("geninv")
     names = ("factorize.full_rank_reduce", "rect.compute_star_blocks", "exact.mat_mul",
              "exact.mat_inverse")
     a = geninv.RMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]])  # rank 2
-    assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 4, 1]]
+    assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 3, 0]]
     a = geninv.RMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])  # regular
     assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 0, 1]]
 
