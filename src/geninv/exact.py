@@ -33,8 +33,11 @@ carries one.
 
 ``rect``'s pseudoinverse and ``square``'s Drazin inverse are one formula,
 the outer inverse B*(W*A*B)^-1*W, written once in ``_outer`` as B times one
-solve of [W*A*B | W]; when B and W are square, A is regular and ``_outer``
-returns A^-1 itself.
+solve of [W*A*B | W]. A square B or W is regular and cancels, which
+``_outer`` reads from the shapes alone: with B square the value is the solve
+of [W*A | W], with W square it is B*(A*B)^-1, the transpose of the solve of
+[(A*B)t | Bt], each after one product; when both are square, A is regular
+and ``_outer`` returns A^-1 itself.
 
 Text is written from the grid as well: ``_texts`` renders each entry with
 one gcd against the denominator, and ``str``, ``repr`` and the CLI's
@@ -43,12 +46,11 @@ MatrixFile writer use it. MatrixFile text is read in ``cli``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, SingularMatrix
 
@@ -225,16 +227,16 @@ def _from_grid(rows: int, cols: int, grid) -> RMatrix:
     return _over_lcm(rows, cols, [((v.numerator,), v.denominator) for row in grid for v in row])
 
 
-def _rows(a: RMatrix) -> tuple[tuple[int, ...], ...]:
+def _rows(a: RMatrix) -> list[tuple[int, ...]]:
     """The numerators of a, row by row."""
     c = a.cols
-    return tuple([a._nums[i * c:(i + 1) * c] for i in range(a.rows)])
+    return [a._nums[i * c:(i + 1) * c] for i in range(a.rows)]
 
 
-def _cols(a: RMatrix) -> tuple[tuple[int, ...], ...]:
+def _cols(a: RMatrix) -> list[tuple[int, ...]]:
     """The numerators of a, column by column."""
     c = a.cols
-    return tuple([a._nums[j::c] for j in range(c)])
+    return [a._nums[j::c] for j in range(c)]
 
 
 def _texts(a: RMatrix) -> list[list[str]]:
@@ -355,10 +357,14 @@ def _solve_rows(rows, n: int, p: int) -> RMatrix:
 def _outer(b: RMatrix, a: RMatrix, w: RMatrix) -> RMatrix:
     """B*(W*A*B)^-1*W for B (n x r) and W (r x m) of rank r: the outer inverse
     of A with range R(B) and null space N(W) (Urquhart; Ben-Israel & Greville,
-    *Generalized Inverses*, ch. 2), by one ``_solve``. Square B and W mean
-    r = m = n, so A is regular and the value is A^-1, with no product."""
-    if b.is_square and w.is_square:
-        return mat_inverse(a)
+    *Generalized Inverses*, ch. 2), by one ``_solve``. A square B or W is
+    regular and cancels: (W*A)^-1*W for square B (r = n), B*(A*B)^-1 for
+    square W (r = m), solved transposed, each after one product. Both square
+    mean r = m = n, so A is regular and the value is A^-1, with no product."""
+    if b.is_square:
+        return mat_inverse(a) if w.is_square else _solve(mat_mul(w, a), w)
+    if w.is_square:
+        return mat_transpose(_solve(mat_transpose(mat_mul(a, b)), mat_transpose(b)))
     return mat_mul(b, _solve(mat_mul(mat_mul(w, a), b), w))
 
 
@@ -447,7 +453,8 @@ def _echelon(rows, width: int):
     Rows all over one denominator den are read over den, and a row below t
     over den*p.
     """
-    m, order, cols = len(rows), list(range(len(rows))), list(range(width))
+    m = len(rows)
+    order, cols = list(range(m)), list(range(width))
     prev = 1
     for t in range(min(m, width)):
         found = next(((i, j) for i in range(t, m) for j in range(t, width) if rows[i][j]), None)

@@ -6,7 +6,9 @@ k = index of A. The report also carries the inverse-class labels implied by
 the satisfied equations. Only the smaller of A*X and X*A is formed (both for
 a square A, for the fifth equation), and the first two equations through it
 are tested in place, with no A*X*A or X*A*X formed; so is the symmetry of
-either product, formed or not.
+either product, formed or not. When the product formed is the identity, as
+for a full-rank A and its pseudoinverse, the first two equations hold with
+no test: A*X = I gives A*X*A = A and X*A*X = X, and so does X*A = I.
 
 The sixth equation is tested as R*X*A = R for the pivot rows R of A^k that
 the rank sequence keeps: A^k = C*U^-1*R with C*U^-1 of full column rank, so
@@ -18,6 +20,7 @@ sequence is not run again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import DimensionMismatch
@@ -56,11 +59,20 @@ class PenroseReport:
     classes: tuple[str, ...]
 
 
+@cache  # six bools or Nones: at most 3^6 keys
 def _labels(eq1, eq2, eq3, eq4, eq5, eq6) -> tuple[str, ...]:
     """Class labels of the satisfied equations; eq5/eq6 = None counts as unsatisfied."""
     flags = {"eq1": eq1, "eq2": eq2, "eq3": eq3, "eq4": eq4, "eq5": eq5, "eq6": eq6}
     return tuple([label for label, needs in _CLASS_TABLE
                   if all(flags[name] for name in needs)])
+
+
+def _is_identity(p: RMatrix) -> bool:
+    """Whether square P is the identity, with no matrix made. P is canonical,
+    so it must be over the denominator 1 with n ones on its diagonal; its
+    numerators then sum to n in absolute value only if the rest are zero."""
+    n = p.rows
+    return p._den == 1 and p._nums[::n + 1] == (1,) * n and sum(map(abs, p._nums)) == n
 
 
 def check(a: RMatrix, x: RMatrix) -> PenroseReport:
@@ -71,7 +83,9 @@ def check(a: RMatrix, x: RMatrix) -> PenroseReport:
             f"got {x.rows}x{x.cols}")
     ax = mat_mul(a, x) if a.rows <= a.cols else None
     xa = mat_mul(x, a) if a.rows >= a.cols else None
-    if ax is None:
+    if _is_identity(xa if ax is None else ax):
+        eq1 = eq2 = True  # A*X = I gives A*X*A = A and X*A*X = X, and so does X*A = I
+    elif ax is None:
         eq1, eq2 = _product_is(a, xa, a), _product_is(xa, x, x)
     else:
         eq1, eq2 = _product_is(ax, a, a), _product_is(x, ax, x)

@@ -32,7 +32,9 @@ A = F*G of full rank, A^+ = Gt*(Ft*A*Gt)^-1*Ft. A's pivot columns C = A[:,J]
 and rows R = A[I,:] (``exact._skeleton``) give A = C*U^-1*R, U = A[I,J], and
 F = C, G = U^-1*R give A^+ = Rt*(Ct*A*Rt)^-1*Ct: the outer inverse
 B*(W*A*B)^-1*W of ``exact._outer`` with B = Rt and W = Ct, which is A^-1 for
-a regular A. The paper's block formula
+a regular A. A regular factor cancels: at full column rank R is square and
+A^+ = (Ct*A)^-1*Ct, at full row rank C is square and A^+ = Rt*(A*Rt)^-1,
+each one product and one solve. The paper's block formula
 P*[[I, -S2*S4^-1], [-T4^-1*T3, T4^-1*T3*S2*S4^-1]]*Q gives the same matrix on
 every reduction, which the tests assert.
 """

@@ -7,7 +7,7 @@ from itertools import chain, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import support
@@ -146,6 +146,36 @@ class TestInverse:
         assert mat_mul(a, mat_inverse(a)) == identity(n)
 
 
+def drawn_grid(draw, rows, cols):
+    """A rows x cols matrix of drawn small rationals."""
+    return RMatrix(rows, cols, tuple(tuple(draw(st.lists(rationals(), min_size=cols,
+                                                         max_size=cols)))
+                                     for _ in range(rows)))
+
+
+@st.composite
+def outer_triples(draw):
+    """(B, A, W) for B n x r, A m x n and W r x m of rational entries with
+    W*A*B regular, so B and W are of rank r: B square (r = n), W square
+    (r = m), both or neither, by the draw; r = 0 included."""
+    square = draw(st.sampled_from(("b", "w", "both", "neither")))
+    r = draw(st.integers(0, 3))
+    n = r if square in ("b", "both") else r + draw(st.integers(1, 2))
+    m = r if square in ("w", "both") else r + draw(st.integers(1, 2))
+    b, a, w = drawn_grid(draw, n, r), drawn_grid(draw, m, n), drawn_grid(draw, r, m)
+    assume(support.ref_rank(mat_mul(mat_mul(w, a), b)) == r)
+    return b, a, w
+
+
+class TestOuter:
+    @given(outer_triples())
+    def test_equals_the_outer_inverse(self, triple):
+        # each shape's branch against B*(W*A*B)^-1*W formed with the Fraction inverse
+        b, a, w = triple
+        want = mat_mul(mat_mul(b, support.ref_inverse(mat_mul(mat_mul(w, a), b))), w)
+        assert exact._outer(b, a, w) == want
+
+
 class TestPower:
     @pytest.mark.parametrize("a", [support.EX1, support.NILPOTENT_2, zeros(2, 2),
                                    RMatrix.from_rows([["1/2", -3], [2, "5/3"]])])
@@ -187,13 +217,7 @@ def rank_products(draw):
     """L*R of an m x k and a k x n rational factor, 0..5 per side: rank at most k."""
     m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     k = draw(st.integers(0, min(m, n)))
-
-    def grid(rows, cols):
-        return RMatrix(rows, cols, tuple(tuple(draw(st.lists(rationals(), min_size=cols,
-                                                             max_size=cols)))
-                                         for _ in range(rows)))
-
-    return mat_mul(grid(m, k), grid(k, n))
+    return mat_mul(drawn_grid(draw, m, k), drawn_grid(draw, k, n))
 
 
 def assert_skeleton(a):

@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,24 @@ def test_unique_inverses_share_one_core(module, function):
     # regular case: neither unique inverse inverts a matrix itself
     names = names_in_body(SRC / f"{module}.py", function)
     assert "_outer" in names and "mat_inverse" not in names
+
+
+def parser_tokens(path):
+    """The tokens of path that CPython's parser keeps: all but comments,
+    non-logical newlines and the encoding marker."""
+    with path.open("rb") as f:
+        return sum(1 for tok in tokenize.tokenize(f.readline)
+                   if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
+
+
+def test_exact_stays_below_4096_parser_tokens():
+    # CPython 3.11's parser doubles its token array as it passes 4,096 tokens.
+    # A build of exact.py at 4,103 tokens compiled with a 1,719 KiB peak
+    # (tracemalloc) against 1,530 KiB at 4,056, and lifted the benchmark's
+    # cli-small peak_rss_mib from 19.61-19.82 to 19.85-20.10, as its set-up
+    # compiles the package every round; at 4,090 tokens it read 19.71-19.80.
+    # A change that needs more tokens in exact.py must offset them there.
+    assert parser_tokens(SRC / "exact.py") < 4096
 
 
 REIMPORT = """

@@ -7,7 +7,8 @@ import pytest
 import support
 from geninv import (DimensionMismatch, RMatrix, check, drazin_inverse, full_rank_reduce,
                     g1_inverse, g13_inverse, g14_inverse, g2_inverse, identity, mat_add,
-                    mat_mul, mat_pow, minimal_polynomial, moore_penrose, square, zeros)
+                    mat_mul, mat_pow, mat_sub, mat_transpose, minimal_polynomial,
+                    moore_penrose, square, zeros)
 from geninv.penrose import _labels
 
 
@@ -96,7 +97,9 @@ def oracle_corpus():
     """(A, X) pairs: tall, wide, square at index 0 to 3, rank 0, 1x1 and empty
     A, each with its true inverses ({1,3}, {1,4}, Moore-Penrose and, if
     square, Drazin), zero, a random X and the pseudoinverse with one entry
-    bumped."""
+    bumped; then one-sided inverses other than the pseudoinverse, where A*X
+    or X*A is the identity, and a regular A's inverse: exact, bumped, and
+    times a unit triangular."""
     rng = random.Random(27)
 
     def low_rank(m, n, r):
@@ -121,6 +124,33 @@ def oracle_corpus():
             candidates.append(drazin_inverse(a))
         for x in candidates:
             yield a, x
+
+    def gram_inverse(g):  # (G*Gt)^-1 by the Fraction oracle
+        return support.ref_inverse(mat_mul(g, mat_transpose(g)))
+
+    # wide A of full row rank: X = At*(A*At)^-1 + N with A*N = 0, so A*X = I
+    # and X*A is not symmetric
+    a = low_rank(3, 5, 3)
+    right = mat_mul(mat_transpose(a), gram_inverse(a))
+    null = mat_mul(mat_sub(identity(5), mat_mul(right, a)), support.rand_matrix(rng, 5, 3))
+    assert mat_mul(a, null) == zeros(3, 3) != null
+    yield a, mat_add(right, null)
+    # tall A of full column rank: X = (At*A)^-1*At + N with N*A = 0, so X*A = I
+    # and A*X is not symmetric
+    a = low_rank(5, 3, 3)
+    left = mat_mul(gram_inverse(mat_transpose(a)), mat_transpose(a))
+    null = mat_mul(support.rand_matrix(rng, 3, 5), mat_sub(identity(5), mat_mul(a, left)))
+    assert mat_mul(null, a) == zeros(3, 3) != null
+    yield a, mat_add(left, null)
+    # a regular A: its inverse, that with one entry bumped, and that times a
+    # unit triangular T, so that A*X = T has the identity's diagonal
+    a = support.rand_invertible(rng, 4)
+    inverse = support.ref_inverse(a)
+    yield a, inverse
+    yield a, mat_add(inverse, RMatrix.from_rows([[int(i == j == 0) for j in range(4)]
+                                                 for i in range(4)]))
+    yield a, mat_mul(inverse, RMatrix.from_rows([[int(j in (i, i + 1)) for j in range(4)]
+                                                 for i in range(4)]))
 
 
 def test_same_reports_as_every_product_formed():

@@ -493,10 +493,12 @@ class TestMoorePenrose:
 
     @pytest.mark.parametrize("m, n, r", [
         (12, 7, 3), (7, 12, 4), (12, 12, 6), (11, 12, 0), (12, 5, 0), (5, 12, 5),
-        (9, 12, 9), (12, 5, 5), (12, 10, 10), (12, 12, 12), (0, 3, 0), (3, 0, 0), (0, 0, 0)])
+        (9, 12, 9), (12, 5, 5), (12, 10, 10), (12, 12, 12), (0, 3, 0), (3, 0, 0), (0, 0, 0),
+        (1, 4, 1), (4, 1, 1), (2, 3, 2), (3, 2, 2), (4, 6, 4), (6, 4, 4), (7, 11, 7), (11, 7, 7)])
     def test_equals_block_formula_at_size(self, m, n, r):
         # tall, wide, rank 0, full row rank and full column rank against the
-        # paper's block formula on two reductions
+        # paper's block formula on two reductions; at full row or column rank
+        # one side of the outer inverse is square and cancels
         rng = random.Random(m * 144 + n * 12 + r)
         a = mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n)) if r else zeros(m, n)
         assert mat_rank(a) == r

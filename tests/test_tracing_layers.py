@@ -87,13 +87,18 @@ def test_tracer_sees_the_drazin_ranks(monkeypatch):
 def test_tracer_sees_the_pseudoinverse_route(monkeypatch):
     # moore_penrose is the full-rank form on A's pivot columns and rows: three
     # products around one solve of [Ct*A*Rt | Ct], with no inverse, and neither
-    # the reduction nor its Gram blocks; a regular A is inverted itself, with
-    # no product
+    # the reduction nor its Gram blocks; at full row or column rank one side
+    # cancels, leaving one product and one solve; a regular A is inverted
+    # itself, with no product
     geninv = importlib.import_module("geninv")
     names = ("factorize.full_rank_reduce", "rect.compute_star_blocks", "exact.mat_mul",
              "exact.mat_inverse")
     a = geninv.RMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]])  # rank 2
     assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 3, 0]]
+    a = geninv.RMatrix.from_rows([[1, 2, 3], [0, 1, 4]])  # full row rank
+    assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 1, 0]]
+    a = geninv.RMatrix.from_rows([[1, 2], [0, 1], [3, 4]])  # full column rank
+    assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 1, 0]]
     a = geninv.RMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])  # regular
     assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 0, 1]]
 
