@@ -21,7 +21,10 @@ class FactoredMatrix:
     """A together with regular P (n x n), Q (m x m) and rank r, Q*A*P = E_r,
     which every ``g*`` inverse and block validator trusts. One built by hand is
     not checked: ``factor_with`` checks its factors, ``verify_factorization``
-    an existing reduction."""
+    an existing reduction. On a P and Q that do not reduce A, the {1,3}- and
+    {1,4}-families (``g13_inverse`` to ``g134_inverse``), built from the
+    factors A*P[:, :r] and Q[:r, :]*A, need not match the paper's Gram-matrix
+    formula, and may raise ``SingularMatrix`` where that formula does not."""
 
     a: RMatrix
     p: RMatrix

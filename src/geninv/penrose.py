@@ -8,7 +8,8 @@ a square A, for the fifth equation), and the first two equations through it
 are tested in place, with no A*X*A or X*A*X formed; so is the symmetry of
 either product, formed or not. When the product formed is the identity, as
 for a full-rank A and its pseudoinverse, the first two equations hold with
-no test: A*X = I gives A*X*A = A and X*A*X = X, and so does X*A = I.
+no test: A*X = I gives A*X*A = A and X*A*X = X, and so does X*A = I. For a
+square A, A*X = I also gives X*A = I, so X*A is then not formed.
 
 The sixth equation is tested as R*X*A = R for the pivot rows R of A^k that
 the rank sequence keeps: A^k = C*U^-1*R with C*U^-1 of full column rank, so
@@ -82,8 +83,11 @@ def check(a: RMatrix, x: RMatrix) -> PenroseReport:
             f"candidate must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} matrix, "
             f"got {x.rows}x{x.cols}")
     ax = mat_mul(a, x) if a.rows <= a.cols else None
-    xa = mat_mul(x, a) if a.rows >= a.cols else None
-    if _is_identity(xa if ax is None else ax):
+    xa = mat_mul(x, a) if a.rows > a.cols else None
+    unit = _is_identity(xa if ax is None else ax)
+    if a.is_square:
+        xa = ax if unit else mat_mul(x, a)  # a square A with A*X = I has X*A = I
+    if unit:
         eq1 = eq2 = True  # A*X = I gives A*X*A = A and X*A*X = X, and so does X*A = I
     elif ax is None:
         eq1, eq2 = _product_is(a, xa, a), _product_is(xa, x, x)

@@ -7,24 +7,43 @@ r = 0, r = m or r = n some blocks are 0-row or 0-column matrices and the same
 formulas apply unchanged. A {2}-type inverse has X3 = X2*X1, so it is built as
 X = (P*[I; X2]) * X0 * ([I, X1]*Q) without a middle matrix (``g2_inverse``,
 ``g12_inverse``); ``g1_inverse`` assembles the middle matrix, its X3 being
-free. Every other constructor computes its forced blocks and calls one of these.
+free.
 
 A split is always ``block_extract``'s 4-tuple (b0, b1, b2, b3), standing for
 [[b0, b1], [b2, b3]]: the Gram splits (s1, s2, s3, s4) and (t1, t2, t3, t4)
 from ``compute_star_blocks``, and the blocks (x0, x1, x2, x3) the validators
 take, which are ``block_extract(P^-1*X*Q^-1, r)`` for a candidate X.
 
-The {3}- and {4}-classes need the Gram matrices Q*Qt and Pt*P. For regular Q
-and P their trailing blocks S4, T4 are regular, which the tests assert rather
-than every call, and the canonical choices -S2*S4^-1 and -T4^-1*T3 make A*X
-respectively X*A symmetric. A constructor pinned on one side only ({1,3},
-{1,2,3}, {1,4}, {1,2,4}) forms only that side's Gram matrix.
+The paper pins the {3}- and {4}-classes by the Gram matrices Q*Qt and Pt*P:
+X1 = -S2*S4^-1 makes A*X symmetric and X2 = -T4^-1*T3 makes X*A symmetric.
+The constructors reach the same members from full-rank factors instead
+(Ben-Israel & Greville, ch. 1), with no Gram matrix of P or Q. With
+P = [Z, N] and Q = [Y; L] split at r, F = A*Z and G = Y*A give A = F*G, and
+the forced blocks give [I, X1]*Q = F^+ = (Ft*F)^-1*Ft and
+P*[I; X2] = G^+ = Gt*(G*Gt)^-1. So g13 = Z*F^+ + N*[X2, X3]*Q, g14 = G^+*Y +
+P*[X1; X3]*L and g134 = Z*F^+ + G^+*Y - Z*Y + N*X3*L, a free-block term
+formed only when the block is passed. As A*N = 0 and L*A = 0, Z' = P*[I; X2]
+has A*Z' = F and Y' = [I, X1]*Q has Y'*A = G, so g123 = Z'*F^+ and
+g124 = G^+*Y' take the route of g13 and g14 on Z' and Y'.
+
+Z*F^+ = Z*(Zt*At*A*Z)^-1*Zt*At is unchanged when Z becomes Z*W for a
+regular W. So when Z is nonzero on exactly r rows J, as on every reduction
+``full_rank_reduce`` gives, Z = E_J*W for W = Z[J,:] and Z*F^+ = E_J*C^+ for
+A's columns C = A[:,J]: C^+ = (Ct*C)^-1*Ct is one product and one solve in
+``exact._outer``, and its rows are put at rows J of a zero grid, with no
+product. Likewise G^+*Y = R^+*E_I^t for A's rows R = A[I,:] when Y is
+nonzero on exactly r columns I, R^+'s columns put at columns I. g134's Z*Y
+is E_J*W*Y, taken from C^+ before it is placed; W = I on the library's
+reduction. Any other Z or Y takes its outer inverse as it stands:
+Z*F^+ = Z*(Ft*A*Z)^-1*Ft and G^+*Y = Gt*(Y*A*Gt)^-1*Y.
 
 The validators take f and a candidate's blocks; the {3}- and {4}-validators
-form the Q*Qt or Pt*P split from f. Each returns the paper's block condition
-alone and forms no X: that it matches X*A*X = X, or the symmetry of A*X or
-X*A, is the paper's theorem for a reduction of A, which the tests assert
-against ``penrose.check``.
+form the Q*Qt or Pt*P split from f and solve for the forced block by its
+trailing block S4 or T4, regular for regular Q and P, which the tests assert
+rather than every call. Each returns the paper's block condition alone and
+forms no X: that it matches X*A*X = X, or the symmetry of A*X or X*A, is the
+paper's theorem for a reduction of A, which the tests assert against
+``penrose.check``.
 
 ``moore_penrose`` takes A alone and needs no reduction. It is MacDuffee's
 full-rank form (Ben-Israel & Greville, *Generalized Inverses*, ch. 1): for
@@ -36,7 +55,8 @@ a regular A. A regular factor cancels: at full column rank R is square and
 A^+ = (Ct*A)^-1*Ct, at full row rank C is square and A^+ = Rt*(A*Rt)^-1,
 each one product and one solve. The paper's block formula
 P*[[I, -S2*S4^-1], [-T4^-1*T3, T4^-1*T3*S2*S4^-1]]*Q gives the same matrix on
-every reduction, which the tests assert.
+every reduction, which the tests assert, as they do for the {3}- and
+{4}-families.
 """
 
 from __future__ import annotations
@@ -44,8 +64,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DimensionMismatch, NotIdempotent
-from .exact import (RMatrix, _outer, _skeleton, block_compose, block_extract, identity, mat_add,
-                    mat_inverse, mat_mul, mat_scale, mat_transpose, zeros)
+from .exact import (RMatrix, _cols, _make, _outer, _rows, _skeleton, _solve, block_compose,
+                    block_extract, identity, mat_add, mat_mul, mat_scale, mat_sub, mat_transpose,
+                    zeros)
 from .factorize import FactoredMatrix
 
 
@@ -89,25 +110,74 @@ def _right(f: FactoredMatrix, x1: RMatrix) -> RMatrix:
     return mat_mul(block_compose(identity(f.r), x1, zeros(0, f.r), zeros(0, f.m - f.r)), f.q)
 
 
-def _star_x1(sq: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> RMatrix:
-    """-S2*S4^-1, the forced top-right block of the {3}-family."""
-    _, s2, _, s4 = sq
-    return mat_scale(mat_mul(s2, mat_inverse(s4)), -1)
+def _assemble(f: FactoredMatrix, x0: RMatrix, x1: Optional[RMatrix], x2: Optional[RMatrix],
+              x3: Optional[RMatrix]) -> RMatrix:
+    """P*[[x0, x1], [x2, x3]]*Q, an omitted x1, x2 or x3 zero."""
+    x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
+    x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
+    x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
+    return mat_mul(mat_mul(f.p, block_compose(x0, x1, x2, x3)), f.q)
 
 
-def _star_x2(sp: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> RMatrix:
-    """-T4^-1*T3, the forced bottom-left block of the {4}-family."""
-    _, _, t3, t4 = sp
-    return mat_scale(mat_mul(mat_inverse(t4), t3), -1)
+def _plus_free(f: FactoredMatrix, x: RMatrix, x1: Optional[RMatrix] = None,
+               x2: Optional[RMatrix] = None, x3: Optional[RMatrix] = None) -> RMatrix:
+    """X + P*[[0, x1], [x2, x3]]*Q for the free blocks passed; X if none is."""
+    if x1 is None and x2 is None and x3 is None:
+        return x
+    return mat_add(x, _assemble(f, zeros(f.r, f.r), x1, x2, x3))
+
+
+def _pinv_of_lines(lines: list, at: list[int], width: int, den: int) -> RMatrix:
+    """(K*Kt)^-1*K for K the lines at ``at``, over den: C^+ from A's columns
+    at J, C = A[:,J], and (R^+)t from its rows at I, R = A[I,:]."""
+    k = _make(len(at), width, [x for i in at for x in lines[i]], den)
+    return _outer(identity(len(at)), mat_transpose(k), k)
+
+
+def _placed(at: list[int], core: RMatrix, size: int) -> list:
+    """The size-row grid with core's rows at rows ``at`` and zero rows elsewhere."""
+    grid = [(0,) * core.cols] * size
+    for i, row in zip(at, _rows(core)):
+        grid[i] = row
+    return grid
+
+
+def _range_part(a: RMatrix, p: RMatrix, r: int, y: Optional[RMatrix] = None) -> RMatrix:
+    """Z*F^+ - Z*Y for Z = P[:, :r] and F = A*Z, Y = 0 when omitted: on a Z
+    nonzero on r rows J, E_J*(C^+ - W*Y) for W = Z[J,:], C^+'s rows put in
+    place; on any other Z, Z*(Ft*A*Z)^-1*Ft - Z*Y."""
+    z = [row[:r] for row in _rows(p)]
+    at = [i for i, line in enumerate(z) if any(line)]
+    if len(at) != r:
+        zm = _make(p.rows, r, [x for line in z for x in line], p._den)
+        x = _outer(zm, a, mat_transpose(mat_mul(a, zm)))
+        return x if y is None else mat_sub(x, mat_mul(zm, y))
+    at.sort(key=z.__getitem__, reverse=True)  # W = I when Z's columns are unit columns
+    core = _pinv_of_lines(_cols(a), at, a.rows, a._den)
+    if y is not None:
+        w = _make(r, r, [x for i in at for x in z[i]], p._den)
+        core = mat_sub(core, y if w == identity(r) else mat_mul(w, y))
+    return _make(p.rows, a.rows, [x for row in _placed(at, core, p.rows) for x in row],
+                 core._den)
+
+
+def _domain_part(a: RMatrix, q: RMatrix, r: int) -> RMatrix:
+    """G^+*Y for Y = Q[:r, :] and G = Y*A: on a Y nonzero on r columns I,
+    R^+*E_I^t, R^+'s columns put in place; on any other Y, Gt*(Y*A*Gt)^-1*Y."""
+    y = _rows(q)[:r]
+    at = [j for j, line in enumerate(zip(*y)) if any(line)]
+    if len(at) != r:
+        ym = _make(r, q.cols, [x for row in y for x in row], q._den)
+        return _outer(mat_transpose(mat_mul(ym, a)), a, ym)
+    core = _pinv_of_lines(_rows(a), at, a.cols, a._den)
+    return _make(a.cols, a.rows, [x for line in zip(*_placed(at, core, a.rows)) for x in line],
+                 core._den)
 
 
 def g1_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None, x2: Optional[RMatrix] = None,
                x3: Optional[RMatrix] = None) -> RMatrix:
     """A {1}-inverse: A*X*A = A. All three off-core blocks are free."""
-    x1 = _resolve_free(x1, f.r, f.m - f.r, "x1")
-    x2 = _resolve_free(x2, f.n - f.r, f.r, "x2")
-    x3 = _resolve_free(x3, f.n - f.r, f.m - f.r, "x3")
-    return mat_mul(mat_mul(f.p, block_compose(identity(f.r), x1, x2, x3)), f.q)
+    return _assemble(f, identity(f.r), x1, x2, x3)
 
 
 def g2_inverse(f: FactoredMatrix, x0: Optional[RMatrix] = None,
@@ -147,22 +217,24 @@ def validate_g3_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RM
     W = S1 - S2*S4^-1*S2t, and x1 = -x0*S2*S4^-1."""
     _check_params(f, b)
     x0, x1, _, _ = b
-    sq = _gram_split(f.q, f.r)
-    s1, s2, _, _ = sq
-    x1f = _star_x1(sq)
+    s1, s2, _, s4 = _gram_split(f.q, f.r)
+    x1f = mat_scale(mat_transpose(_solve(s4, mat_transpose(s2))), -1)  # S4 is symmetric
     w = mat_add(s1, mat_mul(x1f, mat_transpose(s2)))
     return mat_mul(w, mat_transpose(x0)) == mat_mul(x0, w) and x1 == mat_mul(x0, x1f)
 
 
 def g13_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None,
                 x3: Optional[RMatrix] = None) -> RMatrix:
-    """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free."""
-    return g1_inverse(f, _star_x1(_gram_split(f.q, f.r)), x2, x3)
+    """A {1,3}-inverse: A*X*A = A and A*X symmetric. X2, X3 are free:
+    Z*F^+ + N*[x2, x3]*Q."""
+    return _plus_free(f, _range_part(f.a, f.p, f.r), None, x2, x3)
 
 
 def g123_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None) -> RMatrix:
-    """A {1,2,3}-inverse: X3 is forced to X2 * (-S2*S4^-1)."""
-    return g12_inverse(f, _star_x1(_gram_split(f.q, f.r)), x2)
+    """A {1,2,3}-inverse: Z'*F^+ for Z' = P*[I; x2], as A*Z' = A*Z = F; that
+    is X3 = X2*X1 for the forced X1."""
+    p = f.p if x2 is None else _left(f, _resolve_free(x2, f.n - f.r, f.r, "x2"))
+    return _range_part(f.a, p, f.r)
 
 
 def validate_g4_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
@@ -170,28 +242,31 @@ def validate_g4_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RM
     x0t*W = W*x0 for W = T1 - T2*T4^-1*T2t and x2 = -T4^-1*T3*x0."""
     _check_params(f, b)
     x0, _, x2, _ = b
-    sp = _gram_split(mat_transpose(f.p), f.r)
-    t1, t2, _, _ = sp
-    x2f = _star_x2(sp)
+    t1, t2, t3, t4 = _gram_split(mat_transpose(f.p), f.r)
+    x2f = mat_scale(_solve(t4, t3), -1)
     w = mat_add(t1, mat_mul(t2, x2f))
     return mat_mul(mat_transpose(x0), w) == mat_mul(w, x0) and x2 == mat_mul(x2f, x0)
 
 
 def g14_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
                 x3: Optional[RMatrix] = None) -> RMatrix:
-    """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free."""
-    return g1_inverse(f, x1, _star_x2(_gram_split(mat_transpose(f.p), f.r)), x3)
+    """A {1,4}-inverse: A*X*A = A and X*A symmetric. X1, X3 are free:
+    G^+*Y + P*[x1; x3]*L."""
+    return _plus_free(f, _domain_part(f.a, f.q, f.r), x1, None, x3)
 
 
 def g124_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None) -> RMatrix:
-    """A {1,2,4}-inverse: X3 is forced to (-T4^-1*T3) * X1."""
-    return g12_inverse(f, x1, _star_x2(_gram_split(mat_transpose(f.p), f.r)))
+    """A {1,2,4}-inverse: G^+*Y' for Y' = [I, x1]*Q, as Y'*A = Y*A = G; that
+    is X3 = X2*X1 for the forced X2."""
+    q = f.q if x1 is None else _right(f, _resolve_free(x1, f.r, f.m - f.r, "x1"))
+    return _domain_part(f.a, q, f.r)
 
 
 def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:
-    """A {1,3,4}-inverse: both forced blocks, X3 free."""
-    sq, sp = compute_star_blocks(f)
-    return g1_inverse(f, _star_x1(sq), _star_x2(sp), x3)
+    """A {1,3,4}-inverse: Z*F^+ + G^+*Y - Z*Y + N*x3*L, X3 free."""
+    y = _make(f.r, f.m, f.q._nums[:f.r * f.m], f.q._den)
+    x = mat_add(_range_part(f.a, f.p, f.r, y), _domain_part(f.a, f.q, f.r))
+    return _plus_free(f, x, x3=x3)
 
 
 def moore_penrose(a: RMatrix) -> RMatrix:

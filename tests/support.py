@@ -7,9 +7,9 @@ import random
 from hypothesis import strategies as st
 
 from geninv import (DimensionMismatch, FactoredMatrix, MinimalPolynomial, RMatrix,
-                    SingularMatrix, compute_star_blocks, drazin_inverse, factor_with,
-                    full_rank_reduce, g12_inverse, identity, mat_inverse, mat_mul, mat_rank,
-                    mat_scale, mat_transpose)
+                    SingularMatrix, block_compose, compute_star_blocks, drazin_inverse,
+                    factor_with, full_rank_reduce, g12_inverse, identity, mat_inverse, mat_mul,
+                    mat_rank, mat_scale, mat_transpose, zeros)
 from geninv.penrose import PenroseReport, _labels
 from geninv.square import _index_and_skeleton
 
@@ -104,8 +104,6 @@ def rand_nilpotent(rng: random.Random, n: int) -> RMatrix:
 
 def rand_index_one_singular(rng: random.Random, n: int) -> RMatrix:
     """S * diag(J, 0) * S^-1 with regular J of size r < n: singular, index 1."""
-    from geninv import block_compose, mat_inverse, zeros
-
     r = rng.randint(1, n - 1)
     j = rand_invertible(rng, r)
     s = rand_invertible(rng, n)
@@ -120,8 +118,6 @@ def nilpotent_jordan(k: int) -> RMatrix:
 
 def rand_with_index(rng: random.Random, k: int, m: int) -> RMatrix:
     """S * diag(N_k, M) * S^-1 with regular M of size m >= 1: index exactly k."""
-    from geninv import block_compose, mat_inverse, zeros
-
     core = block_compose(nilpotent_jordan(k), zeros(k, m), zeros(m, k), rand_invertible(rng, m))
     s = rand_invertible(rng, k + m)
     return mat_mul(mat_mul(s, core), mat_inverse(s))
@@ -168,6 +164,35 @@ def second_reduction(a: RMatrix, rows=None, cols=None) -> FactoredMatrix:
     pc = mat_transpose(permutation(range(a.cols - 1, -1, -1) if cols is None else cols))
     f = full_rank_reduce(mat_mul(mat_mul(pr, a), pc))
     return factor_with(a, mat_mul(pc, f.p), mat_mul(f.q, pr))
+
+
+def caller_reductions(rng: random.Random, f: FactoredMatrix) -> list[FactoredMatrix]:
+    """Three more reductions of A, built from f = (P, Q) with regular M, W, W'.
+
+    Q' = [[M, V], [0, W]]*Q and P' = P*[[M^-1, 0], [H, W']] leave P'[:, :r]
+    and Q'[:r, :] dense in general. Q' = diag(M, I)*Q and P' = P*diag(M^-1, I)
+    give P'[:, :r] = P[:, :r]*M^-1, nonzero on the same r rows but not made of
+    unit columns: once for a random M and once for a unit upper triangular M,
+    whose inverse has the identity's diagonal without being the identity at
+    r >= 2. All have Q'*A*P' = E_r, which ``factor_with`` checks."""
+    r, m, n = f.r, f.m, f.n
+
+    def rand(rows, cols):
+        return rand_matrix(rng, rows, cols) if rows and cols else zeros(rows, cols)
+
+    def regular(k):
+        return rand_invertible(rng, k) if k else zeros(0, 0)
+
+    out = []
+    for kind in ("dense", "scaled", "unit diagonal"):
+        mm = identity(r) + rand_nilpotent(rng, r) if kind == "unit diagonal" and r else regular(r)
+        dense = kind == "dense"
+        v, w = (rand(r, m - r), regular(m - r)) if dense else (zeros(r, m - r), identity(m - r))
+        h, w2 = (rand(n - r, r), regular(n - r)) if dense else (zeros(n - r, r), identity(n - r))
+        q = mat_mul(block_compose(mm, v, zeros(m - r, r), w), f.q)
+        p = mat_mul(f.p, block_compose(mat_inverse(mm), zeros(r, n - r), h, w2))
+        out.append(factor_with(f.a, p, q))
+    return out
 
 
 def pseudoinverse_on(f: FactoredMatrix) -> RMatrix:

@@ -87,6 +87,16 @@ def test_unique_inverses_share_one_core(module, function):
     assert "_outer" in names and "mat_inverse" not in names
 
 
+@pytest.mark.parametrize("function", ["g13_inverse", "g123_inverse", "g14_inverse",
+                                      "g124_inverse", "g134_inverse"])
+def test_the_g13_family_takes_the_factor_route(function):
+    # the {1,3} and {1,4} families come from A's full-rank factors through
+    # exact._outer: no Gram matrix of P or Q and no inverse of its trailing block
+    names = names_in_body(SRC / "rect.py", function)
+    assert names.isdisjoint({"_gram_split", "compute_star_blocks", "_star_x1", "_star_x2",
+                             "mat_inverse"})
+
+
 def parser_tokens(path):
     """The tokens of path that CPython's parser keeps: all but comments,
     non-logical newlines and the encoding marker."""

@@ -15,9 +15,9 @@ from geninv import (DimensionMismatch, FactoredMatrix, NotIdempotent, RMatrix, b
                     mat_inverse, mat_mul, mat_rank, mat_transpose,
                     moore_penrose, validate_g2_blocks, validate_g3_blocks,
                     validate_g4_blocks, zeros)
-from support import (pseudoinverse_on, rand_idempotent, rand_index_one_singular,
-                     rand_invertible, rand_matrix, rmatrices, second_reduction,
-                     with_permutations)
+from support import (caller_reductions, pseudoinverse_on, rand_idempotent,
+                     rand_index_one_singular, rand_invertible, rand_matrix, rmatrices,
+                     second_reduction, with_permutations)
 
 
 def golden_factors():
@@ -515,7 +515,10 @@ class TestBlockFormula:
     """Every constructor equals P*[[X0, X1], [X2, X3]]*Q with its blocks set by
     the paper's rules: X0 = I for {1}, X3 = X2*X1 for {2}, X1 = -S2*S4^-1 for
     {3} and X2 = -T4^-1*T3 for {4}; the group inverse takes X1 = -V2*V4^-1
-    and X2 = -V4^-1*V3 from the blocks of Q*P."""
+    and X2 = -V4^-1*V3 from the blocks of Q*P. The reductions are the
+    library's, one of A with its rows and columns reversed, and the three of
+    ``support.caller_reductions``: one with P[:, :r] and Q[:r, :] dense, two
+    with P[:, :r] nonzero on r rows but not made of unit columns."""
 
     @staticmethod
     def inputs(rng):
@@ -528,9 +531,15 @@ class TestBlockFormula:
 
     def test_constructors_match_block_formula(self):
         rng = random.Random(22)
+        supports = set()
         for a in self.inputs(rng):
-            for f, explicit in product((full_rank_reduce(a), second_reduction(a)),
-                                       (False, True)):
+            base = full_rank_reduce(a)
+            for f, explicit in product([base, second_reduction(a),
+                                        *caller_reductions(rng, base)], (False, True)):
+                z = [[f.p[i, j] for j in range(f.r)] for i in range(f.n)]
+                nonzero = sum(1 for row in z if any(row))
+                supports.add("dense" if nonzero > f.r else "unit" if
+                             all(v in (0, 1) for row in z for v in row) else "scaled")
                 r, m, n = f.r, f.m, f.n
 
                 def free(rows, cols):
@@ -567,3 +576,4 @@ class TestBlockFormula:
                 x1, x2 = -mat_mul(v2, v4i), -mat_mul(v4i, v3)
                 assert group_inverse_block(a) == assembled(f, (identity(f.r), x1, x2,
                                                                mat_mul(x2, x1)))
+        assert supports == {"dense", "unit", "scaled"}

@@ -103,6 +103,23 @@ def test_tracer_sees_the_pseudoinverse_route(monkeypatch):
     assert per_call(monkeypatch, names, (geninv.moore_penrose,), a) == [[0, 0, 0, 1]]
 
 
+def test_tracer_sees_the_g13_family_route(monkeypatch):
+    # on the library's reduction each forced side is one product and one
+    # solve, Ct*C for the pivot columns C or R*Rt for the rows R on which
+    # Q[:r, :] is nonzero, its answer put in place by row or column: no Gram
+    # matrix of P or Q and no inverse; g134 takes both sides
+    geninv = importlib.import_module("geninv")
+    names = ("rect.compute_star_blocks", "exact.mat_mul", "exact.mat_inverse")
+    constructors = (geninv.g13_inverse, geninv.g123_inverse, geninv.g14_inverse,
+                    geninv.g124_inverse, geninv.g134_inverse)
+    runs = [lambda a, g=g: g(geninv.full_rank_reduce(a)) for g in constructors]
+    # rank 2; then pivot columns found out of order, [1, 0], which g134 must
+    # still read as unit columns of P[:, :r] and take Z*Y with no product
+    for a in ([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]], [[0, 1, 2], [1, 0, 1], [1, 1, 3]]):
+        a = geninv.RMatrix.from_rows(a)
+        assert per_call(monkeypatch, names, runs, a) == [[0, 1, 0]] * 4 + [[0, 2, 0]]
+
+
 def test_benchmark_selftest_passes():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
     proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], env=env,
