@@ -24,7 +24,10 @@ class FactoredMatrix:
     an existing reduction. On a P and Q that do not reduce A, the {1,3}- and
     {1,4}-families (``g13_inverse`` to ``g134_inverse``), built from the
     factors A*P[:, :r] and Q[:r, :]*A, need not match the paper's Gram-matrix
-    formula, and may raise ``SingularMatrix`` where that formula does not."""
+    formula, and may raise ``SingularMatrix`` where that formula does not.
+    ``g124_inverse`` given an x1 also relies on Q*A*P = E_r: it takes G^+,
+    for G = Q[:r, :]*A, as X*A*P[:, :r] from the default answer
+    X = G^+*Q[:r, :], which needs Q[:r, :]*A*P[:, :r] = I_r."""
 
     a: RMatrix
     p: RMatrix

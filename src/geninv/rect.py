@@ -22,28 +22,32 @@ P = [Z, N] and Q = [Y; L] split at r, F = A*Z and G = Y*A give A = F*G, and
 the forced blocks give [I, X1]*Q = F^+ = (Ft*F)^-1*Ft and
 P*[I; X2] = G^+ = Gt*(G*Gt)^-1. So g13 = Z*F^+ + N*[X2, X3]*Q, g14 = G^+*Y +
 P*[X1; X3]*L and g134 = Z*F^+ + G^+*Y - Z*Y + N*X3*L, a free-block term
-formed only when the block is passed. As A*N = 0 and L*A = 0, Z' = P*[I; X2]
-has A*Z' = F and Y' = [I, X1]*Q has Y'*A = G, so g123 = Z'*F^+ and
-g124 = G^+*Y' take the route of g13 and g14 on Z' and Y'.
+formed only when the block is passed. As A*N = 0, Z' = P*[I; X2] has
+A*Z' = F, so g123 = Z'*F^+ takes the route of g13 on Z'. As Y*A*Z = I_r,
+G^+ = (G^+*Y)*F, so g124 = G^+*Y' for Y' = [I, X1]*Q is the default g14
+times F and Y'.
 
 Z*F^+ = Z*(Zt*At*A*Z)^-1*Zt*At is unchanged when Z becomes Z*W for a
 regular W. So when Z is nonzero on exactly r rows J, as on every reduction
 ``full_rank_reduce`` gives, Z = E_J*W for W = Z[J,:] and Z*F^+ = E_J*C^+ for
-A's columns C = A[:,J]: C^+ = (Ct*C)^-1*Ct is one product and one solve in
-``exact._outer``, and its rows are put at rows J of a zero grid, with no
-product. Likewise G^+*Y = R^+*E_I^t for A's rows R = A[I,:] when Y is
-nonzero on exactly r columns I, R^+'s columns put at columns I. g134's Z*Y
-is E_J*W*Y, taken from C^+ before it is placed; W = I on the library's
-reduction. Any other Z or Y takes its outer inverse as it stands:
-Z*F^+ = Z*(Ft*A*Z)^-1*Ft and G^+*Y = Gt*(Y*A*Gt)^-1*Y.
+A's columns C = A[:,J]: C^+ = (Ct*C)^-1*Ct is one product and one
+``exact._solve``, and its rows are put at rows J of a zero grid, with no
+product. g134's Z*Y is E_J*W*Y, taken from C^+ before it is placed; W = I on
+the library's reduction. Any other Z takes Z*(Ft*F)^-1*Ft, F formed once.
+The {1,4} side is this one transposed: X is a {1,4}-inverse of A exactly
+when Xt is a {1,3}-inverse of At, whose reduction is Pt*At*Qt = E_r, so
+G^+*Y = (Yt*(At*Yt)^+)t, which is R^+*E_I^t for A's rows R = A[I,:] when Y
+is nonzero on exactly r columns I.
 
-The validators take f and a candidate's blocks; the {3}- and {4}-validators
-form the Q*Qt or Pt*P split from f and solve for the forced block by its
-trailing block S4 or T4, regular for regular Q and P, which the tests assert
-rather than every call. Each returns the paper's block condition alone and
-forms no X: that it matches X*A*X = X, or the symmetry of A*X or X*A, is the
-paper's theorem for a reduction of A, which the tests assert against
-``penrose.check``.
+The validators take f and a candidate's blocks. The {3}-validator forms the
+Q*Qt split from f and solves for the forced block by its trailing block S4,
+regular for regular Q, which the tests assert rather than every call. The
+{4}-validator checks the blocks' shapes itself, so that its errors name the
+caller's blocks, and is then the {3}-validator on the transposed reduction
+and Xt's blocks (x0t, x2t, x1t, x3t). Each returns the paper's block
+condition alone and forms no X: that it matches X*A*X = X, or the symmetry
+of A*X or X*A, is the paper's theorem for a reduction of A, which the tests
+assert against ``penrose.check``.
 
 ``moore_penrose`` takes A alone and needs no reduction. It is MacDuffee's
 full-rank form (Ben-Israel & Greville, *Generalized Inverses*, ch. 1): for
@@ -127,51 +131,35 @@ def _plus_free(f: FactoredMatrix, x: RMatrix, x1: Optional[RMatrix] = None,
     return mat_add(x, _assemble(f, zeros(f.r, f.r), x1, x2, x3))
 
 
-def _pinv_of_lines(lines: list, at: list[int], width: int, den: int) -> RMatrix:
-    """(K*Kt)^-1*K for K the lines at ``at``, over den: C^+ from A's columns
-    at J, C = A[:,J], and (R^+)t from its rows at I, R = A[I,:]."""
-    k = _make(len(at), width, [x for i in at for x in lines[i]], den)
-    return _outer(identity(len(at)), mat_transpose(k), k)
-
-
-def _placed(at: list[int], core: RMatrix, size: int) -> list:
-    """The size-row grid with core's rows at rows ``at`` and zero rows elsewhere."""
-    grid = [(0,) * core.cols] * size
-    for i, row in zip(at, _rows(core)):
-        grid[i] = row
-    return grid
-
-
 def _range_part(a: RMatrix, p: RMatrix, r: int, y: Optional[RMatrix] = None) -> RMatrix:
     """Z*F^+ - Z*Y for Z = P[:, :r] and F = A*Z, Y = 0 when omitted: on a Z
-    nonzero on r rows J, E_J*(C^+ - W*Y) for W = Z[J,:], C^+'s rows put in
-    place; on any other Z, Z*(Ft*A*Z)^-1*Ft - Z*Y."""
+    nonzero on r rows J, E_J*(C^+ - W*Y) for C = A[:,J] and W = Z[J,:], with
+    C^+ = (Ct*C)^-1*Ct put in place by rows; on any other Z, Z*(Ft*F)^-1*Ft - Z*Y."""
     z = [row[:r] for row in _rows(p)]
     at = [i for i, line in enumerate(z) if any(line)]
     if len(at) != r:
         zm = _make(p.rows, r, [x for line in z for x in line], p._den)
-        x = _outer(zm, a, mat_transpose(mat_mul(a, zm)))
+        f = mat_mul(a, zm)
+        ft = mat_transpose(f)
+        x = mat_mul(zm, _solve(mat_mul(ft, f), ft))
         return x if y is None else mat_sub(x, mat_mul(zm, y))
     at.sort(key=z.__getitem__, reverse=True)  # W = I when Z's columns are unit columns
-    core = _pinv_of_lines(_cols(a), at, a.rows, a._den)
+    cols = _cols(a)
+    ct = _make(r, a.rows, [x for i in at for x in cols[i]], a._den)
+    core = _solve(mat_mul(ct, mat_transpose(ct)), ct)
     if y is not None:
         w = _make(r, r, [x for i in at for x in z[i]], p._den)
         core = mat_sub(core, y if w == identity(r) else mat_mul(w, y))
-    return _make(p.rows, a.rows, [x for row in _placed(at, core, p.rows) for x in row],
-                 core._den)
+    grid = [(0,) * a.rows] * p.rows
+    for i, row in zip(at, _rows(core)):
+        grid[i] = row
+    return _make(p.rows, a.rows, [x for row in grid for x in row], core._den)
 
 
 def _domain_part(a: RMatrix, q: RMatrix, r: int) -> RMatrix:
-    """G^+*Y for Y = Q[:r, :] and G = Y*A: on a Y nonzero on r columns I,
-    R^+*E_I^t, R^+'s columns put in place; on any other Y, Gt*(Y*A*Gt)^-1*Y."""
-    y = _rows(q)[:r]
-    at = [j for j, line in enumerate(zip(*y)) if any(line)]
-    if len(at) != r:
-        ym = _make(r, q.cols, [x for row in y for x in row], q._den)
-        return _outer(mat_transpose(mat_mul(ym, a)), a, ym)
-    core = _pinv_of_lines(_rows(a), at, a.cols, a._den)
-    return _make(a.cols, a.rows, [x for line in zip(*_placed(at, core, a.rows)) for x in line],
-                 core._den)
+    """G^+*Y for Y = Q[:r, :] and G = Y*A, the transposed Z*F^+ of At and
+    Z = Yt: G^+*Y = (Yt*(At*Yt)^+)t."""
+    return mat_transpose(_range_part(mat_transpose(a), mat_transpose(q), r))
 
 
 def g1_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None, x2: Optional[RMatrix] = None,
@@ -238,14 +226,13 @@ def g123_inverse(f: FactoredMatrix, x2: Optional[RMatrix] = None) -> RMatrix:
 
 
 def validate_g4_blocks(f: FactoredMatrix, b: tuple[RMatrix, RMatrix, RMatrix, RMatrix]) -> bool:
-    """Mirror of the {3}-validator for the split (T1, T2, T3, T4) of Pt*P:
-    x0t*W = W*x0 for W = T1 - T2*T4^-1*T2t and x2 = -T4^-1*T3*x0."""
+    """The {3}-validator on the transposed reduction Pt*At*Qt = E_r, for the
+    split (T1, T2, T3, T4) of Pt*P and Xt's blocks: x0t*W = W*x0 for
+    W = T1 - T2*T4^-1*T2t and x2 = -T4^-1*T3*x0."""
     _check_params(f, b)
-    x0, _, x2, _ = b
-    t1, t2, t3, t4 = _gram_split(mat_transpose(f.p), f.r)
-    x2f = mat_scale(_solve(t4, t3), -1)
-    w = mat_add(t1, mat_mul(t2, x2f))
-    return mat_mul(mat_transpose(x0), w) == mat_mul(w, x0) and x2 == mat_mul(x2f, x0)
+    x0, x1, x2, x3 = map(mat_transpose, b)
+    return validate_g3_blocks(FactoredMatrix(mat_transpose(f.a), mat_transpose(f.q),
+                                             mat_transpose(f.p), f.r), (x0, x2, x1, x3))
 
 
 def g14_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
@@ -257,9 +244,13 @@ def g14_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None,
 
 def g124_inverse(f: FactoredMatrix, x1: Optional[RMatrix] = None) -> RMatrix:
     """A {1,2,4}-inverse: G^+*Y' for Y' = [I, x1]*Q, as Y'*A = Y*A = G; that
-    is X3 = X2*X1 for the forced X2."""
-    q = f.q if x1 is None else _right(f, _resolve_free(x1, f.r, f.m - f.r, "x1"))
-    return _domain_part(f.a, q, f.r)
+    is X3 = X2*X1 for the forced X2. As Y*A*Z = I_r, G^+ = (G^+*Y)*(A*Z), so
+    an x1 takes the default answer G^+*Y times F = A*Z and Y'."""
+    if x1 is None:
+        return _domain_part(f.a, f.q, f.r)
+    y = _right(f, _resolve_free(x1, f.r, f.m - f.r, "x1"))
+    z = _make(f.n, f.r, [x for row in _rows(f.p) for x in row[:f.r]], f.p._den)
+    return mat_mul(mat_mul(g14_inverse(f), mat_mul(f.a, z)), y)
 
 
 def g134_inverse(f: FactoredMatrix, x3: Optional[RMatrix] = None) -> RMatrix:

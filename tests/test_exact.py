@@ -1,5 +1,7 @@
 """Exact scalar/matrix core: arithmetic, rank, inverse, block split/compose."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -610,6 +612,81 @@ class TestExactness:
     def test_partial_identity(self):
         e = partial_identity(3, 4, 2)
         assert e == RMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+
+
+class TestMatrixProtocol:
+    """RMatrix's operators, copies and errors, as a caller meets them."""
+
+    A = RMatrix.from_rows([[1, "1/2"], [-3, 4]])
+    B = RMatrix.from_rows([["2/3", 0], [5, -1]])
+
+    def test_operators_are_the_kernels(self):
+        a, b = self.A, self.B
+        assert a - b == mat_sub(a, b) == RMatrix.from_rows([["1/3", "1/2"], [-8, 5]])
+        assert a @ b == mat_mul(a, b) == RMatrix.from_rows([["19/6", "-1/2"], [18, -4]])
+        assert a * 2 == 2 * a == mat_scale(a, 2) == RMatrix.from_rows([[2, 1], [-6, 8]])
+        assert Fraction(1, 2) * a == a * Fraction(1, 2) == mat_scale(a, Fraction(1, 2))
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), [[1, 0], [0, 1]], "2", None])
+    def test_non_matrix_operands_are_not_implemented(self, other):
+        a = self.A
+        for method in (a.__add__, a.__sub__, a.__matmul__):
+            assert method(other) is NotImplemented
+        with pytest.raises(TypeError):
+            a - other
+        with pytest.raises(TypeError):
+            a @ other
+        assert (a == other) is False
+
+    @pytest.mark.parametrize("other", [[[1, 0], [0, 1]], "2", 1.5, None])
+    def test_non_scalar_factors_are_not_implemented(self, other):
+        assert self.A.__mul__(other) is NotImplemented
+        assert self.A.__rmul__(other) is NotImplemented
+
+    @pytest.mark.parametrize("a", [A, zeros(0, 3), zeros(2, 0), support.EX1_Q])
+    def test_copy_and_pickle_round_trip(self, a):
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(twin) is RMatrix and twin == a and hash(twin) == hash(a)
+            assert (twin.shape, twin._nums, twin._den) == (a.shape, a._nums, a._den)
+
+    @pytest.mark.parametrize("name", ["rows", "cols", "_nums", "_den", "other"])
+    def test_immutable(self, name):
+        a = self.A
+        with pytest.raises(AttributeError) as refused:
+            setattr(a, name, 0)
+        assert str(refused.value) == f"RMatrix is immutable: cannot set {name!r}"
+        assert a == RMatrix.from_rows([[1, "1/2"], [-3, 4]])
+
+    def test_constructor_shape_and_type_errors(self):
+        one = Fraction(1)
+        for rows, cols, entries in ((2, 1, ((one,),)), (1, 2, ((one,),)),
+                                    (1, 1, ((one, one),)), (0, 1, ((one,),))):
+            with pytest.raises(ValueError) as mismatch:
+                RMatrix(rows, cols, entries)
+            assert str(mismatch.value) == "entry grid does not match the declared shape"
+        with pytest.raises(TypeError) as not_fraction:
+            RMatrix(1, 2, ((one, 1),))
+        assert str(not_fraction.value) == "entries must be Fraction, got int"
+        assert RMatrix(1, 2, ((one, Fraction(1, 2)),)) == RMatrix.from_rows([[1, "1/2"]])
+
+    def test_from_rows_ragged_rows(self):
+        for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(ValueError) as ragged:
+                RMatrix.from_rows(rows)
+            assert str(ragged.value) == "entry grid does not match the declared shape"
+
+    def test_partial_identity_rank_range(self):
+        for r in (-1, 3):
+            with pytest.raises(ValueError) as outside:
+                partial_identity(2, 3, r)
+            assert str(outside.value) == f"rank {r} outside 0..2"
+
+    def test_mat_sub_shape_check(self):
+        with pytest.raises(DimensionMismatch) as mismatch:
+            mat_sub(RMatrix.from_rows([[1]]), RMatrix.from_rows([[2, 3]]))
+        assert str(mismatch.value) == "cannot subtract 1x2 from 1x1"
+        with pytest.raises(DimensionMismatch):
+            self.A - RMatrix.from_rows([[1, 2]])
 
 
 class TestFromRowsText:

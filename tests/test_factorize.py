@@ -67,6 +67,19 @@ def test_factor_with_wrong_shape():
         factor_with(support.EX1, identity(2), support.EX1_Q)
 
 
+def test_factor_with_wrong_shape_q():
+    with pytest.raises(InvalidFactorization) as wrong:
+        factor_with(support.EX1, support.EX1_P, identity(2))
+    assert str(wrong.value) == "Q must be 3x3, got 2x2"
+
+
+def test_factor_with_singular_q():
+    q = RMatrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 1]])  # repeated row, up to scale
+    with pytest.raises(InvalidFactorization) as singular:
+        factor_with(support.EX1, support.EX1_P, q)
+    assert str(singular.value) == "Q is singular"
+
+
 def test_reduce_500_random_matrices():
     rng = random.Random(20260809)
     for _ in range(500):

@@ -91,10 +91,20 @@ def test_unique_inverses_share_one_core(module, function):
                                       "g124_inverse", "g134_inverse"])
 def test_the_g13_family_takes_the_factor_route(function):
     # the {1,3} and {1,4} families come from A's full-rank factors through
-    # exact._outer: no Gram matrix of P or Q and no inverse of its trailing block
+    # rect._range_part: no Gram matrix of P or Q and no inverse of its trailing block
     names = names_in_body(SRC / "rect.py", function)
     assert names.isdisjoint({"_gram_split", "compute_star_blocks", "_star_x1", "_star_x2",
                              "mat_inverse"})
+
+
+@pytest.mark.parametrize("function, kernel", [("_domain_part", "_range_part"),
+                                              ("validate_g4_blocks", "validate_g3_blocks")])
+def test_the_14_side_is_the_transposed_13_side(function, kernel):
+    # X is a {1,4}-inverse of A exactly when Xt is a {1,3}-inverse of At: the
+    # {1,4} side calls the {1,3} side on the transposed reduction and solves,
+    # takes an outer inverse or splits a Gram matrix nowhere of its own
+    names = names_in_body(SRC / "rect.py", function)
+    assert kernel in names and names.isdisjoint({"_solve", "_outer", "_gram_split"})
 
 
 def parser_tokens(path):
@@ -158,7 +168,6 @@ def test_public_definitions_are_exported():
 # public names with no caller in the library, scripts/ or perfbench/, each kept on purpose
 UNREFERENCED_ON_PURPOSE = {
     "validate_g2_blocks": "the paper's block conditions for a {2}-inverse, checked from outside",
-    "validate_g3_blocks": "the paper's block conditions for a {1,3}-inverse, checked from outside",
     "validate_g4_blocks": "the paper's block conditions for a {1,4}-inverse, checked from outside",
 }
 

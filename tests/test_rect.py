@@ -242,6 +242,44 @@ class TestG12:
             assert mat_rank(x) == f.r
 
 
+class TestDuality:
+    """X is a {1,4}-inverse of A exactly when Xt is a {1,3}-inverse of At,
+    whose reduction is Pt*At*Qt = E_r: on every kind of reduction, with and
+    without blocks, the {1,4} side equals the transposed {1,3} side of
+    FactoredMatrix(At, Qt, Pt, r), x1 and x2 trading places."""
+
+    def test_the_14_side_is_the_transposed_13_side(self):
+        rng = random.Random(31)
+        seen = set()
+
+        def free(rows, cols):
+            return rand_matrix(rng, rows, cols) if rows and cols else zeros(rows, cols)
+
+        # rank 0, m = r, n = r, both, and in between
+        for m, n, r in ((3, 4, 0), (4, 3, 0), (2, 4, 2), (4, 2, 2), (3, 3, 3), (3, 4, 2),
+                        (4, 3, 1), (5, 4, 3)):
+            a = mat_mul(rand_matrix(rng, m, r), rand_matrix(rng, r, n)) if r else zeros(m, n)
+            base = full_rank_reduce(a)
+            for f in (base, second_reduction(a), *caller_reductions(rng, base)):
+                t = FactoredMatrix(mat_transpose(f.a), mat_transpose(f.q), mat_transpose(f.p),
+                                   f.r)
+                x1, x3 = free(r, m - r), free(n - r, m - r)
+                x1t, x3t = mat_transpose(x1), mat_transpose(x3)
+                assert g14_inverse(f) == mat_transpose(g13_inverse(t))
+                assert g14_inverse(f, x1, x3) == mat_transpose(g13_inverse(t, x1t, x3t))
+                assert g124_inverse(f) == mat_transpose(g123_inverse(t))
+                assert g124_inverse(f, x1) == mat_transpose(g123_inverse(t, x1t))
+                assert g134_inverse(f, x3) == mat_transpose(g134_inverse(t, x3t))
+                forced = middle_blocks(f, g14_inverse(f, x1, x3))
+                drawn = (free(r, r), x1, free(n - r, r), x3)
+                for b in (forced, drawn):
+                    holds = validate_g4_blocks(f, b)
+                    assert holds == validate_g3_blocks(t, tuple(mat_transpose(b[i])
+                                                                for i in (0, 2, 1, 3)))
+                    seen.add(holds)
+        assert seen == {False, True}
+
+
 class TestValidateG3:
     def test_canonical_blocks(self):
         f = golden_factors()
@@ -336,6 +374,21 @@ class TestValidateG4:
                 x0, x1, x2, x3 = middle_blocks(f, x)
                 assert validated(validate_g4_blocks, "eq4", f, (x0, x1, x2, x3))
                 assert not validated(validate_g4_blocks, "eq4", f, (x0, x1, perturbed(x2), x3))
+
+    def test_block_shape_errors_name_the_callers_blocks(self):
+        # m = 4, n = 3, r = 1: x1 is 1x3 and x2 is 2x1, so an error read off
+        # the transposed reduction, where x1 and x2 trade places and shapes,
+        # would name the other block or the transposed shape
+        f = full_rank_reduce(RMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 2, 3]]))
+        assert (f.m, f.n, f.r) == (4, 3, 1)
+        b = (identity(1), zeros(1, 3), zeros(2, 1), zeros(2, 3))
+        assert validate_g4_blocks(f, b) in (False, True)
+        with pytest.raises(DimensionMismatch) as wrong_x1:
+            validate_g4_blocks(f, (b[0], zeros(3, 1), b[2], b[3]))
+        assert str(wrong_x1.value) == "x1 must be a 1x3 matrix"
+        with pytest.raises(DimensionMismatch) as wrong_x2:
+            validate_g4_blocks(f, (b[0], b[1], zeros(1, 2), b[3]))
+        assert str(wrong_x2.value) == "x2 must be a 2x1 matrix"
 
 
 class TestValidatorsAgreeWithCheck:

@@ -118,6 +118,11 @@ def test_tracer_sees_the_g13_family_route(monkeypatch):
     for a in ([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]], [[0, 1, 2], [1, 0, 1], [1, 1, 3]]):
         a = geninv.RMatrix.from_rows(a)
         assert per_call(monkeypatch, names, runs, a) == [[0, 1, 0]] * 4 + [[0, 2, 0]]
+        # g124 given x1 takes G^+ = (G^+*Y)*(A*Z) from the default g14: its
+        # one product, then [I, x1]*Q, A*Z, g14*(A*Z) and that times [I, x1]*Q
+        x1 = geninv.RMatrix.from_rows([[1], [2]])
+        run = [lambda a: geninv.g124_inverse(geninv.full_rank_reduce(a), x1)]
+        assert per_call(monkeypatch, names + ("rect.g14_inverse",), run, a) == [[0, 5, 0, 1]]
 
 
 def test_benchmark_selftest_passes():
